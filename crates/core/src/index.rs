@@ -34,10 +34,22 @@
 //!   scanning all active instructions.
 //! * **Eligible-head cursor** — the oldest non-blocked entry, for FCFS
 //!   (and batching fallbacks) in O(1).
-//! * **Starved set** — the handles whose bypass count crossed the aging
-//!   threshold. Bypass counters only move in
-//!   [`age_prefix`](Self::age_prefix), so membership is maintained there
-//!   and on eligibility changes.
+//! * **Lazy aging** — an aging pick must count one bypass against every
+//!   eligible entry older than the pick. Those counts never increase in
+//!   arrival order among eligible entries: blocking is monotone, so an
+//!   entry eligible now was eligible for its whole life, and every pick
+//!   that bypassed a younger eligible entry also bypassed it. The oldest
+//!   starved candidate is therefore always the eligible-head `cursor`,
+//!   and starvation is one comparison. The counts are kept as `u32` tags
+//!   instead of per-entry counters: a pick adds 1 to the tag of the
+//!   chosen entry's buffer predecessor, and a removed entry hands its tag
+//!   to its predecessor, so an eligible entry's count is the sum of the
+//!   tags from it to the buffer tail. Every nonzero tag sits inside the
+//!   window (picks are in-window and tags only move toward the head), so
+//!   that sum never walks past the window tail. `cursor_bypass` holds the
+//!   sum for the cursor: a pick that skips the cursor adds 1, and each
+//!   tag the cursor moves past is subtracted. A blocked entry's count is
+//!   frozen into its `bypassed` field when it blocks.
 //! * **Page chains** — all pending entries of one page, in arrival order.
 //!   Walk completion drains exactly the same-page chain instead of
 //!   scanning the whole buffer.
@@ -231,16 +243,23 @@ struct HandleMeta {
     /// Same-page chain links (arrival order within the page).
     page_prev: u32,
     page_next: u32,
-    /// Position in the starved list, or `NIL`.
-    starved_pos: u32,
+    /// Lazy-aging tag: bypasses counted against every entry up to and
+    /// including this one (see the module docs).
+    tag: u32,
 }
+
+// Keep `HandleMeta` at 16 bytes, with the tag in the slot after the page
+// links: four handles share a cache line, and a wider array can raise
+// `simbench`'s `setup_s` through glibc heap trimming (a 24-byte layout was
+// reported at 6.2 → 10 ms on `sharded-2m`; see EXPERIMENTS.md).
+const _: () = assert!(std::mem::size_of::<HandleMeta>() == 16);
 
 const EMPTY_META: HandleMeta = HandleMeta {
     blocked: false,
     in_window: false,
     page_prev: NIL,
     page_next: NIL,
-    starved_pos: NIL,
+    tag: 0,
 };
 
 /// Aggregates over one instruction's *eligible in-window* entries.
@@ -329,9 +348,6 @@ struct PendingRemove {
 pub struct CandidateIndex {
     /// Scheduler lookahead (the IOMMU's `buffer_entries`).
     window_cap: usize,
-    /// Bypass count at which an entry counts as starved (the scheduler's
-    /// aging threshold; both are built from the same config value).
-    threshold: u64,
     meta: Vec<HandleMeta>,
     /// Youngest in-window handle (`NIL` when the buffer is empty).
     win_tail: u32,
@@ -342,33 +358,32 @@ pub struct CandidateIndex {
     /// Oldest non-blocked entry in arrival order, window or not (`NIL`
     /// when every pending entry is blocked). The FCFS pick when in-window.
     cursor: u32,
+    /// Bypass count of `cursor`: the tags summed from it to the window
+    /// tail (0 when `cursor` is `NIL`).
+    cursor_bypass: u64,
     /// Per-instruction aggregates, direct-indexed by raw id.
     instr: Vec<InstrAgg>,
     /// Raw ids of active instructions (unordered, swap-removed).
     active: Vec<u32>,
     buckets: ScoreBuckets,
-    /// Handles with `bypassed >= threshold` (always eligible in-window).
-    starved: Vec<u32>,
     pages: PageMap,
     pending_remove: Option<PendingRemove>,
 }
 
 impl CandidateIndex {
-    /// An empty index for a scheduler window of `window_cap` entries and
-    /// the given starvation `threshold`.
-    pub fn new(window_cap: usize, threshold: u64) -> Self {
+    /// An empty index for a scheduler window of `window_cap` entries.
+    pub fn new(window_cap: usize) -> Self {
         CandidateIndex {
             window_cap,
-            threshold,
             meta: Vec::new(),
             win_tail: NIL,
             win_count: 0,
             elig_count: 0,
             cursor: NIL,
+            cursor_bypass: 0,
             instr: Vec::new(),
             active: Vec::new(),
             buckets: ScoreBuckets::default(),
-            starved: Vec::new(),
             pages: PageMap::with_capacity(1024),
             pending_remove: None,
         }
@@ -422,6 +437,7 @@ impl CandidateIndex {
         }
 
         if !blocked && self.cursor == NIL {
+            debug_assert_eq!(self.cursor_bypass, 0, "tags left behind the cursor");
             self.cursor = handle;
         }
         if self.win_count < self.window_cap {
@@ -429,7 +445,7 @@ impl CandidateIndex {
             self.win_count += 1;
             self.win_tail = handle;
             if !blocked {
-                self.agg_add(handle, r.instr.raw(), r.seq, r.score, r.bypassed);
+                self.agg_add(handle, r.instr.raw(), r.seq, r.score);
             }
         }
     }
@@ -460,25 +476,46 @@ impl CandidateIndex {
 
     /// Marks every pending entry of `page` blocked: a walk on it just
     /// started, so they will complete by piggyback, never by selection.
-    /// Call after removing the started entry itself from the buffer.
-    pub fn block_page<W>(&mut self, buf: &WalkBuffer<W>, page: u64) {
-        let Some(chain) = self.pages.get(page) else {
+    /// Each newly blocked entry's bypass count freezes into its
+    /// `bypassed` field. Call after removing the started entry itself
+    /// from the buffer.
+    pub fn block_page<W>(&mut self, buf: &mut WalkBuffer<W>, page: u64) {
+        let Some(&PageChain { tail, .. }) = self.pages.get(page) else {
             return;
         };
-        let mut cur = chain.head;
+        // A newly blocked in-window entry's count is the sum of the tags
+        // from it to the window tail. Visiting the page's entries youngest
+        // first, one backward walk from the window tail collects them all;
+        // with `cursor_bypass == 0` every such sum is zero.
+        let aging = self.cursor_bypass > 0;
+        let mut walk = self.win_tail;
+        let mut suffix = 0u64;
+        let mut cur = tail;
         while cur != NIL {
-            let h = cur as usize;
-            cur = self.meta[h].page_next;
-            if self.meta[h].blocked {
+            let h = cur;
+            cur = self.meta[h as usize].page_prev;
+            let m = self.meta[h as usize];
+            if m.blocked {
                 continue;
             }
-            self.meta[h].blocked = true;
-            if self.meta[h].in_window {
-                let r = buf.get(h as u32);
-                self.agg_remove(buf, h as u32, r.instr.raw());
+            self.meta[h as usize].blocked = true;
+            if m.in_window {
+                if aging {
+                    loop {
+                        suffix += u64::from(self.meta[walk as usize].tag);
+                        let at = walk;
+                        walk = buf.prev(walk).unwrap_or(NIL);
+                        if at == h {
+                            break;
+                        }
+                    }
+                    buf.get_mut(h).bypassed += suffix;
+                }
+                let raw = buf.get(h).instr.raw();
+                self.agg_remove(buf, h, raw);
             }
-            if self.cursor == h as u32 {
-                self.advance_cursor_from(buf, buf.next(h as u32));
+            if self.cursor == h {
+                self.advance_cursor(buf);
             }
         }
     }
@@ -520,7 +557,12 @@ impl CandidateIndex {
             self.agg_remove(buf, handle, r.instr.raw());
         }
         if self.cursor == handle {
-            self.advance_cursor_from(buf, buf.next(handle));
+            self.advance_cursor(buf);
+        }
+        // Entries older than this one keep the bypasses its tag counted.
+        let tag = self.meta[h].tag;
+        if let Some(p) = buf.prev(handle).filter(|_| tag != 0) {
+            self.meta[p as usize].tag += tag;
         }
         self.pending_remove = Some(PendingRemove {
             in_window: self.meta[h].in_window,
@@ -552,7 +594,7 @@ impl CandidateIndex {
                 self.win_tail = e;
                 if !m.blocked {
                     let r = buf.get(e);
-                    self.agg_add(e, r.instr.raw(), r.seq, r.score, r.bypassed);
+                    self.agg_add(e, r.instr.raw(), r.seq, r.score);
                 }
             }
             None => {
@@ -563,67 +605,41 @@ impl CandidateIndex {
     }
 
     /// Applies the aging bookkeeping of a successful pick: every eligible
-    /// entry older than `chosen_seq` was bypassed once. Entries crossing
-    /// the threshold join the starved set. Mirrors the one-pass scan's
-    /// post-pick loop (everything older than an in-window pick is itself
-    /// in the window — the window is an arrival-order prefix).
-    pub fn age_prefix<W>(&mut self, buf: &mut WalkBuffer<W>, chosen_seq: u64, honors_aging: bool) {
-        let mut cur = buf.first();
-        while let Some(h) = cur {
-            if buf.get(h).seq >= chosen_seq {
-                break;
-            }
-            cur = buf.next(h);
-            buf.prefetch(cur);
-            if self.meta[h as usize].blocked {
-                continue;
-            }
-            let r = buf.get_mut(h);
-            r.bypassed += 1;
-            if honors_aging {
-                debug_assert!(
-                    r.bypassed <= self.threshold,
-                    "request seq {} bypassed {} times, past the aging threshold {}",
-                    r.seq,
-                    r.bypassed,
-                    self.threshold,
-                );
-            }
-            if r.bypassed >= self.threshold && self.meta[h as usize].starved_pos == NIL {
-                self.starved_push(h);
-            }
+    /// entry older than `chosen` was bypassed once. O(1): one tag on the
+    /// chosen entry's predecessor (see the module docs).
+    pub fn record_bypass<W>(&mut self, buf: &WalkBuffer<W>, chosen: u32) {
+        if chosen == self.cursor {
+            // Nothing eligible is older than the oldest eligible entry.
+            return;
         }
-    }
-
-    /// Folds entries whose bypass counters were advanced *outside*
-    /// [`age_prefix`](Self::age_prefix) (the legacy scan's aging loop)
-    /// into the starved set: every candidate older than `chosen_seq` that
-    /// now sits at or past the threshold joins.
-    pub fn refresh_starved_below<W>(&mut self, buf: &WalkBuffer<W>, chosen_seq: u64) {
-        let mut cur = buf.first();
-        while let Some(h) = cur {
-            let r = buf.get(h);
-            if r.seq >= chosen_seq {
-                break;
-            }
-            cur = buf.next(h);
-            if self.meta[h as usize].blocked {
-                continue;
-            }
-            if r.bypassed >= self.threshold && self.meta[h as usize].starved_pos == NIL {
-                self.starved_push(h);
-            }
-        }
+        let p = buf.prev(chosen).expect("the cursor precedes the pick");
+        self.meta[p as usize].tag += 1;
+        self.cursor_bypass += 1;
     }
 
     // ------------------------------------------------------------------
     // Queries
     // ------------------------------------------------------------------
 
-    /// The oldest starved candidate, if any (pre-empts aging-honoring
-    /// policies).
-    pub fn oldest_starved<W>(&self, buf: &WalkBuffer<W>) -> Option<u32> {
-        self.starved.iter().copied().min_by_key(|&h| buf.get(h).seq)
+    /// Bypass count of the oldest eligible entry — the largest count of
+    /// any candidate, so it alone decides starvation (module docs).
+    pub fn cursor_bypass(&self) -> u64 {
+        self.cursor_bypass
+    }
+
+    /// Exact bypass count of the pending entry `handle`: its frozen
+    /// `bypassed` field if blocked, plus the tags from it to the window
+    /// tail if eligible. Walks at most the window; for diagnostics.
+    pub fn bypassed<W>(&self, buf: &WalkBuffer<W>, handle: u32) -> u64 {
+        let frozen = buf.get(handle).bypassed;
+        if self.meta[handle as usize].blocked {
+            return frozen;
+        }
+        let tags = std::iter::successors(Some(handle), |&h| buf.next(h))
+            .map(|h| self.meta[h as usize])
+            .take_while(|m| m.in_window)
+            .map(|m| u64::from(m.tag));
+        frozen + tags.sum::<u64>()
     }
 
     /// The FCFS pick: the oldest eligible entry, when it is inside the
@@ -725,7 +741,7 @@ impl CandidateIndex {
     /// `handle` (of `raw`/`seq`/`score`) became a candidate: newly pushed
     /// in-window, or pulled into the window by a removal. In both cases it
     /// is the *youngest* of its instruction's candidates.
-    fn agg_add(&mut self, handle: u32, raw: u32, seq: u64, score: u32, bypassed: u64) {
+    fn agg_add(&mut self, handle: u32, raw: u32, seq: u64, score: u32) {
         self.elig_count += 1;
         let a = &mut self.instr[raw as usize];
         if a.count == 0 {
@@ -760,9 +776,6 @@ impl CandidateIndex {
                 a.max_handle = handle;
             }
         }
-        if bypassed >= self.threshold {
-            self.starved_push(handle);
-        }
     }
 
     /// `handle` stops being a candidate: it is being removed, or its page
@@ -770,7 +783,6 @@ impl CandidateIndex {
     /// its instruction chain (the chain walk skips it by handle).
     fn agg_remove<W>(&mut self, buf: &WalkBuffer<W>, handle: u32, raw: u32) {
         self.elig_count -= 1;
-        self.starved_remove(handle);
         let a = &mut self.instr[raw as usize];
         a.count -= 1;
         if a.count == 0 {
@@ -856,15 +868,19 @@ impl CandidateIndex {
         }
     }
 
-    fn advance_cursor_from<W>(&mut self, buf: &WalkBuffer<W>, mut cur: Option<u32>) {
-        while let Some(h) = cur {
-            if !self.meta[h as usize].blocked {
+    /// Moves the cursor off the entry it names (being blocked or removed,
+    /// still threaded) to the next eligible entry, subtracting every tag
+    /// it moves past from `cursor_bypass`.
+    fn advance_cursor<W>(&mut self, buf: &WalkBuffer<W>) {
+        let mut h = self.cursor;
+        loop {
+            self.cursor_bypass -= u64::from(self.meta[h as usize].tag);
+            h = buf.next(h).unwrap_or(NIL);
+            if h == NIL || !self.meta[h as usize].blocked {
                 self.cursor = h;
                 return;
             }
-            cur = buf.next(h);
         }
-        self.cursor = NIL;
     }
 
     fn bucket_insert(&mut self, raw: u32, score: u32) {
@@ -893,24 +909,6 @@ impl CandidateIndex {
         self.bucket_insert(raw, to);
     }
 
-    fn starved_push(&mut self, handle: u32) {
-        self.meta[handle as usize].starved_pos = self.starved.len() as u32;
-        self.starved.push(handle);
-    }
-
-    fn starved_remove(&mut self, handle: u32) {
-        let pos = self.meta[handle as usize].starved_pos;
-        if pos == NIL {
-            return;
-        }
-        self.meta[handle as usize].starved_pos = NIL;
-        self.starved.swap_remove(pos as usize);
-        if (pos as usize) < self.starved.len() {
-            let moved = self.starved[pos as usize];
-            self.meta[moved as usize].starved_pos = pos;
-        }
-    }
-
     /// Exhaustively recomputes every derived structure from the buffer and
     /// `inflight` pages and asserts it matches — the test-only consistency
     /// oracle. O(buffer²); never call on a hot path.
@@ -920,6 +918,10 @@ impl CandidateIndex {
         let mut win = 0usize;
         let mut first_eligible = None;
         let mut counts: HashMap<u32, u32> = HashMap::new();
+        // Tags summed from the cursor onward, and the previous eligible
+        // entry's bypass count (counts never increase in arrival order).
+        let mut cursor_tags = 0u64;
+        let mut last_count = u64::MAX;
         for (pos, (h, r)) in buf.iter().enumerate() {
             let m = &self.meta[h as usize];
             let inflight_now = inflight.iter().any(|&(p, _)| p == r.page.raw());
@@ -936,19 +938,25 @@ impl CandidateIndex {
             if !m.blocked && first_eligible.is_none() {
                 first_eligible = Some(h);
             }
+            if first_eligible.is_some() {
+                cursor_tags += u64::from(m.tag);
+            }
+            if !m.in_window {
+                assert_eq!(m.tag, 0, "tag outside the window at seq {}", r.seq);
+            }
             if m.in_window && !m.blocked {
                 elig += 1;
                 *counts.entry(r.instr.raw()).or_insert(0) += 1;
-                assert_eq!(
-                    m.starved_pos != NIL,
-                    r.bypassed >= self.threshold,
-                    "starved membership for seq {}",
+                let count = self.bypassed(buf, h);
+                assert!(
+                    count <= last_count,
+                    "bypass count rises in arrival order at seq {}",
                     r.seq
                 );
-            } else {
-                assert_eq!(m.starved_pos, NIL, "non-candidate in starved set");
+                last_count = count;
             }
         }
+        assert_eq!(self.cursor_bypass, cursor_tags, "cursor bypass count");
         assert_eq!(self.elig_count, elig, "eligible count");
         assert_eq!(self.win_count, win, "window count");
         assert_eq!(

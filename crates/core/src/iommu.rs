@@ -293,6 +293,9 @@ pub enum WalkerSnapshot {
 /// arrival order, and what every walker is doing.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct IommuSnapshot {
+    /// Which IOMMU of a multi-IOMMU topology this is (`None` when there
+    /// is only one, which keeps its report unnumbered).
+    pub iommu: Option<usize>,
     /// Requests waiting in the buffer.
     pub pending: usize,
     /// Pending request count per instruction (raw id, count), sorted by
@@ -320,6 +323,9 @@ impl IommuSnapshot {
 
 impl std::fmt::Display for IommuSnapshot {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        if let Some(i) = self.iommu {
+            write!(f, "IOMMU {i}: ")?;
+        }
         writeln!(
             f,
             "{} pending walk request(s), {}/{} walkers busy",
@@ -375,8 +381,7 @@ pub struct Iommu<W> {
     /// window membership, per-instruction aggregates, same-page chains).
     /// Maintained on every push/remove/walk-start regardless of the
     /// selection mode, so the completion fan-out can always drain page
-    /// chains and [`set_indexed_selection`](Self::set_indexed_selection)
-    /// can flip modes mid-run.
+    /// chains.
     index: CandidateIndex,
     /// Whether selection is answered from `index` (the default) or by the
     /// legacy one-pass window scan (the differential-test oracle path).
@@ -431,7 +436,7 @@ impl<W> Iommu<W> {
             pwc: PageWalkCache::new(cfg.pwc),
             scheduler: Scheduler::new(cfg.scheduler, cfg.aging_threshold, cfg.seed),
             buffer: WalkBuffer::new(),
-            index: CandidateIndex::new(cfg.buffer_entries, cfg.aging_threshold),
+            index: CandidateIndex::new(cfg.buffer_entries),
             indexed: true,
             walkers,
             inflight_pages: Vec::new(),
@@ -503,7 +508,19 @@ impl<W> Iommu<W> {
     /// `tests/indexed_selection_oracle.rs` pins this differentially — so
     /// the switch exists for that oracle and for debugging, not for
     /// behavior. The candidate index is maintained either way.
+    ///
+    /// The two paths keep bypass counts in different forms (lazily in the
+    /// index, eagerly in the requests), so an IOMMU uses one of them for
+    /// its whole life.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a request has already arrived.
     pub fn set_indexed_selection(&mut self, on: bool) {
+        assert_eq!(
+            self.next_seq, 0,
+            "selection mode is fixed once requests arrive"
+        );
         self.indexed = on;
     }
 
@@ -512,6 +529,22 @@ impl<W> Iommu<W> {
     #[doc(hidden)]
     pub fn validate_candidate_index(&self) {
         self.index.validate(&self.buffer, &self.inflight_pages);
+    }
+
+    /// Test-only: picks where a starved request pre-empted the policy.
+    #[doc(hidden)]
+    pub fn starvation_forced_picks(&self) -> u64 {
+        self.scheduler.forced_picks()
+    }
+
+    /// Test-only: `(seq, bypass count)` of every pending request in
+    /// arrival order, whichever form the selection path keeps them in.
+    #[doc(hidden)]
+    pub fn pending_bypass_counts(&self) -> Vec<(u64, u64)> {
+        self.buffer
+            .iter()
+            .map(|(h, r)| (r.seq, self.index.bypassed(&self.buffer, h)))
+            .collect()
     }
 
     /// Captures a diagnostic freeze-frame of buffer and walker state for
@@ -533,12 +566,12 @@ impl<W> Iommu<W> {
             .buffer
             .iter()
             .take(IommuSnapshot::OLDEST_CAP)
-            .map(|(_, r)| PendingWalkSnapshot {
+            .map(|(h, r)| PendingWalkSnapshot {
                 page: r.page.raw(),
                 instr: r.instr.raw(),
                 seq: r.seq,
                 score: r.score,
-                bypassed: r.bypassed,
+                bypassed: self.index.bypassed(&self.buffer, h),
             })
             .collect();
         let walkers = self
@@ -560,6 +593,7 @@ impl<W> Iommu<W> {
             })
             .collect();
         IommuSnapshot {
+            iommu: None,
             pending: self.buffer.len(),
             pending_per_instr,
             oldest,
@@ -719,7 +753,7 @@ impl<W> Iommu<W> {
             let handle = if self.indexed {
                 match self
                     .scheduler
-                    .select_in_buffer_indexed(&mut self.buffer, &mut self.index)
+                    .select_in_buffer_indexed(&self.buffer, &mut self.index)
                 {
                     IndexedOutcome::Selected(h) => h,
                     IndexedOutcome::NoneEligible => {
@@ -766,7 +800,7 @@ impl<W> Iommu<W> {
             self.stats.walks_performed += 1;
             self.stats.total_walk_accesses += plan.accesses() as u64;
             self.inflight_pages.push((request.page.raw(), walker_idx));
-            self.index.block_page(&self.buffer, request.page.raw());
+            self.index.block_page(&mut self.buffer, request.page.raw());
             reads.push(MemRead {
                 walker: WalkerId(walker_idx as u8),
                 addr: plan.pte_reads()[0],
@@ -794,25 +828,15 @@ impl<W> Iommu<W> {
             .select_in_buffer(&mut self.buffer, window_len, |r| {
                 !inflight.iter().any(|&(p, _)| p == r.page.raw())
             });
-        match picked {
-            Some(handle) => {
-                // The scan's aging loop bumped bypass counters behind the
-                // index's back; fold any newly starved entries into its
-                // starved set before the removal hooks run.
-                let chosen_seq = self.buffer.get(handle).seq;
-                self.index.refresh_starved_below(&self.buffer, chosen_seq);
-                Some(handle)
-            }
-            None => {
-                // A fruitless scan over the *whole* buffer stays fruitless
-                // until an arrival or a completion perturbs its inputs;
-                // both of those paths clear the flag. (A window-limited
-                // scan is not memoised: entries beyond the window could
-                // become visible without either event firing.)
-                self.start_blocked = window_len == self.buffer.len();
-                None
-            }
+        if picked.is_none() {
+            // A fruitless scan over the *whole* buffer stays fruitless
+            // until an arrival or a completion perturbs its inputs; both
+            // of those paths clear the flag. (A window-limited scan is not
+            // memoised: entries beyond the window could become visible
+            // without either event firing.)
+            self.start_blocked = window_len == self.buffer.len();
         }
+        picked
     }
 
     /// Reports that the outstanding PTE read of `walker` finished at `now`.
@@ -1168,6 +1192,9 @@ mod tests {
 
         let (_, t) = run_walk(&mut f, reads[0], 100);
         let next = f.iommu.start_walkers(&f.table, t);
+        // The light pick bypassed each older heavy request once.
+        let oldest = f.iommu.snapshot().oldest;
+        assert!(oldest.iter().map(|p| p.bypassed).eq([1, 1, 1]));
         let (done, _) = run_walk(&mut f, next[0], 100);
         assert_eq!(done[0].instr, InstrId::new(1), "light instruction first");
         assert_eq!(done[0].waiter, 20);

@@ -161,18 +161,6 @@ pub trait WalkPolicy: std::fmt::Debug + Send {
         true
     }
 
-    /// Whether [`select`](Self::select) always returns the oldest
-    /// candidate. Combined with an opted-out [`honors_aging`]
-    /// (Self::honors_aging), this lets the scheduler stop scanning its
-    /// window at the first eligible request — the pick is the oldest
-    /// eligible by construction, so no younger candidate can influence
-    /// the choice and no bypass counter can change (nothing eligible is
-    /// older than the pick). Purely an optimisation hint: claiming it
-    /// while `select` does anything else changes scheduling decisions.
-    fn picks_oldest(&self) -> bool {
-        false
-    }
-
     /// Declarative form of [`select`](Self::select) for the incremental
     /// candidate index, or `None` when the policy can only be driven
     /// through the candidate-slice interface (the scheduler then falls
@@ -249,10 +237,6 @@ impl WalkPolicy for FcfsPolicy {
 
     fn honors_aging(&self) -> bool {
         false
-    }
-
-    fn picks_oldest(&self) -> bool {
-        true
     }
 
     fn indexed_select(&mut self) -> Option<IndexedSelect<'_>> {

@@ -27,6 +27,11 @@ pub struct WalkRequest<W> {
     /// `instr` (shared across the instruction's buffer entries; 1–256).
     pub score: u32,
     /// Number of younger requests scheduled ahead of this one (aging).
+    /// Under index-answered selection the
+    /// [`CandidateIndex`](crate::index::CandidateIndex) keeps the count of
+    /// a schedulable request lazily and writes it here only when the
+    /// request's page blocks; read counts through
+    /// [`Iommu::snapshot`](crate::iommu::Iommu::snapshot).
     pub bypassed: u64,
     /// Caller token released when the translation completes.
     pub waiter: W,

@@ -183,6 +183,8 @@ pub struct Scheduler {
     aging_threshold: u64,
     /// Reusable candidate buffer; cleared and refilled by every `select`.
     scratch: Vec<Candidate>,
+    /// Picks where a starved request pre-empted the policy's choice.
+    forced_picks: u64,
 }
 
 impl Scheduler {
@@ -199,10 +201,7 @@ impl Scheduler {
             .expect("every SchedulerKind is registered as a builtin policy");
         Scheduler {
             kind: Some(kind),
-            policy,
-            last_instr: None,
-            aging_threshold,
-            scratch: Vec::new(),
+            ..Self::with_policy(policy, aging_threshold)
         }
     }
 
@@ -215,6 +214,7 @@ impl Scheduler {
             last_instr: None,
             aging_threshold,
             scratch: Vec::new(),
+            forced_picks: 0,
         }
     }
 
@@ -244,6 +244,11 @@ impl Scheduler {
         self.last_instr
     }
 
+    /// How many picks a starved request forced past the policy's choice.
+    pub fn forced_picks(&self) -> u64 {
+        self.forced_picks
+    }
+
     /// Selects the index (into `window`) of the next request to service.
     ///
     /// `eligible` filters out requests that cannot start (e.g. their page
@@ -259,60 +264,16 @@ impl Scheduler {
     ) -> Option<usize> {
         // One pass: gather candidates and the oldest starved request.
         self.scratch.clear();
-        let mut starved: Option<(u64, usize)> = None;
+        let mut starved = None;
         for (i, r) in window.iter().enumerate() {
-            if !eligible(r) {
-                continue;
-            }
-            self.scratch.push(Candidate {
-                index: i,
-                instr: r.instr,
-                seq: r.seq,
-                score: r.score,
-            });
-            if r.is_starved(self.aging_threshold) && starved.is_none_or(|(seq, _)| r.seq < seq) {
-                starved = Some((r.seq, i));
+            if eligible(r) {
+                self.gather(i, r, &mut starved);
             }
         }
-        if self.scratch.is_empty() {
-            return None;
-        }
-
-        // Starved requests pre-empt the policy's choice unless the policy
-        // opts out (FCFS is starvation-free by construction; Random stays
-        // the paper's unmodified "naive random" straw-man).
-        let choice = match starved {
-            Some((_, i)) if self.policy.honors_aging() => i,
-            _ => self.scratch[self.policy.select(&self.scratch)].index,
-        };
-
-        // Aging: every eligible request older than the choice was bypassed.
-        let chosen_seq = window[choice].seq;
-        for c in &self.scratch {
-            if c.seq < chosen_seq {
-                window[c.index].bypassed += 1;
-            }
-        }
-        // Aging bound: under an aging-honoring policy the oldest starved
-        // request pre-empts the pick, so no eligible request can ever be
-        // bypassed past the threshold — it would have been chosen (or be
-        // younger than the chosen starved request, and left untouched).
-        #[cfg(debug_assertions)]
-        if self.policy.honors_aging() {
-            for c in &self.scratch {
-                debug_assert!(
-                    window[c.index].bypassed <= self.aging_threshold,
-                    "request seq {} bypassed {} times, past the aging threshold {}",
-                    c.seq,
-                    window[c.index].bypassed,
-                    self.aging_threshold,
-                );
-            }
-        }
-        let instr = window[choice].instr;
-        self.last_instr = Some(instr);
-        self.policy.on_dispatch(instr);
-        Some(choice)
+        self.pick_gathered(starved, |i| {
+            window[i].bypassed += 1;
+            window[i].bypassed
+        })
     }
 
     /// [`select`](Self::select) over a [`WalkBuffer`] window: considers the
@@ -331,33 +292,9 @@ impl Scheduler {
         window_len: usize,
         eligible: impl Fn(&WalkRequest<W>) -> bool,
     ) -> Option<u32> {
-        // Oldest-first fast path: a policy that always selects the oldest
-        // candidate and opts out of aging pre-emption is fully determined
-        // by the *first* eligible request in arrival order — candidates
-        // are gathered seq-ascending, so the pick is the oldest eligible,
-        // no starved request can override it, and the aging loop is a
-        // no-op (nothing eligible is older than the pick). Scanning can
-        // therefore stop at the first hit instead of walking the window.
-        if self.policy.picks_oldest() && !self.policy.honors_aging() {
-            let mut cursor = buf.first();
-            for _ in 0..window_len {
-                let Some(h) = cursor else { break };
-                cursor = buf.next(h);
-                buf.prefetch(cursor);
-                let r = buf.get(h);
-                if eligible(r) {
-                    let instr = r.instr;
-                    self.last_instr = Some(instr);
-                    self.policy.on_dispatch(instr);
-                    return Some(h);
-                }
-            }
-            return None;
-        }
-
         // One pass: gather candidates and the oldest starved request.
         self.scratch.clear();
-        let mut starved: Option<(u64, u32)> = None;
+        let mut starved = None;
         let mut cursor = buf.first();
         for _ in 0..window_len {
             let Some(h) = cursor else { break };
@@ -365,58 +302,76 @@ impl Scheduler {
             buf.prefetch(cursor);
             let r = buf.get(h);
             if eligible(r) {
-                self.scratch.push(Candidate {
-                    index: h as usize,
-                    instr: r.instr,
-                    seq: r.seq,
-                    score: r.score,
-                });
-                if r.is_starved(self.aging_threshold) && starved.is_none_or(|(seq, _)| r.seq < seq)
-                {
-                    starved = Some((r.seq, h));
-                }
+                self.gather(h as usize, r, &mut starved);
             }
         }
+        self.pick_gathered(starved, |h| {
+            let r = buf.get_mut(h as u32);
+            r.bypassed += 1;
+            r.bypassed
+        })
+        .map(|h| h as u32)
+    }
+
+    /// Appends one eligible request to the candidate buffer under the
+    /// opaque `index`, tracking the position of the oldest starved one.
+    fn gather<W>(&mut self, index: usize, r: &WalkRequest<W>, starved: &mut Option<usize>) {
+        if r.is_starved(self.aging_threshold)
+            && starved.is_none_or(|pos| r.seq < self.scratch[pos].seq)
+        {
+            *starved = Some(self.scratch.len());
+        }
+        self.scratch.push(Candidate {
+            index,
+            instr: r.instr,
+            seq: r.seq,
+            score: r.score,
+        });
+    }
+
+    /// Shared tail of the scan paths: picks among the gathered candidates
+    /// and returns the pick's opaque index. Starved requests pre-empt the
+    /// policy's choice unless the policy opts out (FCFS is starvation-free
+    /// by construction; Random stays the paper's unmodified "naive random"
+    /// straw-man). Every candidate older than the pick was bypassed:
+    /// `bump` increments its counter and returns the new count.
+    fn pick_gathered(
+        &mut self,
+        starved: Option<usize>,
+        mut bump: impl FnMut(usize) -> u64,
+    ) -> Option<usize> {
         if self.scratch.is_empty() {
             return None;
         }
-
-        // Starved requests pre-empt the policy's choice unless the policy
-        // opts out (FCFS is starvation-free by construction; Random stays
-        // the paper's unmodified "naive random" straw-man).
-        let choice = match starved {
-            Some((_, h)) if self.policy.honors_aging() => h,
-            _ => self.scratch[self.policy.select(&self.scratch)].index as u32,
-        };
-
-        // Aging: every eligible request older than the choice was bypassed.
-        let chosen_seq = buf.get(choice).seq;
-        for i in 0..self.scratch.len() {
-            let c = self.scratch[i];
-            if c.seq < chosen_seq {
-                buf.get_mut(c.index as u32).bypassed += 1;
+        let honors = self.policy.honors_aging();
+        let pos = match starved {
+            Some(pos) if honors => {
+                self.forced_picks += 1;
+                pos
             }
-        }
-        // Aging bound: under an aging-honoring policy the oldest starved
-        // request pre-empts the pick, so no eligible request can ever be
-        // bypassed past the threshold — it would have been chosen (or be
-        // younger than the chosen starved request, and left untouched).
-        #[cfg(debug_assertions)]
-        if self.policy.honors_aging() {
-            for c in &self.scratch {
+            _ => self.policy.select(&self.scratch),
+        };
+        let chosen = self.scratch[pos];
+        for c in &self.scratch {
+            if c.seq < chosen.seq {
+                let bypassed = bump(c.index);
+                // Aging bound: under an aging-honoring policy the oldest
+                // starved request pre-empts the pick, so no candidate can
+                // be bypassed past the threshold — it would have been
+                // chosen (or be younger than the chosen starved request,
+                // and left untouched).
                 debug_assert!(
-                    buf.get(c.index as u32).bypassed <= self.aging_threshold,
+                    !honors || bypassed <= self.aging_threshold,
                     "request seq {} bypassed {} times, past the aging threshold {}",
                     c.seq,
-                    buf.get(c.index as u32).bypassed,
+                    bypassed,
                     self.aging_threshold,
                 );
             }
         }
-        let instr = buf.get(choice).instr;
-        self.last_instr = Some(instr);
-        self.policy.on_dispatch(instr);
-        Some(choice)
+        self.last_instr = Some(chosen.instr);
+        self.policy.on_dispatch(chosen.instr);
+        Some(chosen.index)
     }
 
     /// [`select_in_buffer`](Self::select_in_buffer) answered from the
@@ -426,15 +381,18 @@ impl Scheduler {
     /// the [`index`](crate::index) module docs for the update contract);
     /// eligibility is the index's blocked flag, i.e. "no walk in flight for
     /// the page". Decisions — pick, policy-state updates, RNG stream
-    /// consumption, bypass counters — are bit-identical to the scan path;
-    /// `tests/indexed_selection_oracle.rs` pins this differentially.
+    /// consumption, bypass counts — are bit-identical to the scan path;
+    /// `tests/indexed_selection_oracle.rs` pins this differentially. The
+    /// bypass counts are kept lazily by the index (its `bypassed` query
+    /// reads them), not in the requests' `bypassed` fields, so one buffer
+    /// must be driven through this path or the scan paths, never both.
     ///
     /// Returns [`IndexedOutcome::Unsupported`] (before any side effect)
     /// when the active policy has no [`WalkPolicy::indexed_select`] form;
     /// the caller then falls back to the scan path for this call.
     pub fn select_in_buffer_indexed<W>(
         &mut self,
-        buf: &mut WalkBuffer<W>,
+        buf: &WalkBuffer<W>,
         index: &mut CandidateIndex,
     ) -> IndexedOutcome {
         if self.policy.indexed_select().is_none() {
@@ -446,15 +404,21 @@ impl Scheduler {
         let honors = self.policy.honors_aging();
 
         // Starved requests pre-empt the policy's choice (same gate as the
-        // scan path). When one wins, the policy's own selection machinery
-        // is never consulted: no RNG draw, no rotation-cursor move.
-        let starved = if honors {
-            index.oldest_starved(buf)
+        // scan path). Bypass counts never increase in arrival order among
+        // candidates, so the oldest candidate is the oldest starved one
+        // whenever any is. When it wins, the policy's own selection
+        // machinery is never consulted: no RNG draw, no rotation-cursor
+        // move.
+        let starved = if honors && index.cursor_bypass() >= self.aging_threshold {
+            index.fcfs_pick()
         } else {
             None
         };
         let choice = match starved {
-            Some(h) => h,
+            Some(h) => {
+                self.forced_picks += 1;
+                h
+            }
             None => {
                 let shape = self.policy.indexed_select().expect("checked above");
                 match shape {
@@ -496,13 +460,15 @@ impl Scheduler {
         };
 
         // Aging: every eligible request older than the choice was bypassed.
-        // An oldest-first policy without aging pre-emption picks the oldest
-        // eligible, so nothing eligible is older — skip the walk entirely
-        // (mirrors the scan path's FCFS early-exit, which skips aging too).
-        if !self.policy.picks_oldest() || honors {
-            let chosen_seq = buf.get(choice).seq;
-            index.age_prefix(buf, chosen_seq, honors);
-        }
+        // The oldest candidate holds the largest count, so it alone bounds
+        // them (as on the scan path).
+        index.record_bypass(buf, choice);
+        debug_assert!(
+            !honors || index.cursor_bypass() <= self.aging_threshold,
+            "oldest candidate bypassed {} times, past the aging threshold {}",
+            index.cursor_bypass(),
+            self.aging_threshold,
+        );
         let instr = buf.get(choice).instr;
         self.last_instr = Some(instr);
         self.policy.on_dispatch(instr);

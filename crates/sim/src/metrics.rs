@@ -201,14 +201,6 @@ impl MetricsCollector {
                 self.interleaved_instructions += 1;
             }
         }
-        if std::env::var("PTW_DEBUG_SPANS").is_ok() {
-            eprintln!(
-                "[spans] n={} interleaved={} sample={:?}",
-                self.instr_spans.len(),
-                self.interleaved_instructions,
-                &self.instr_spans[..self.instr_spans.len().min(12)]
-            );
-        }
         RunMetrics {
             cycles,
             instructions,

@@ -19,7 +19,7 @@
 //! 9. reply — `TranslationDone`, after which the data phase runs
 //!    (`DataSubmit`, `LineDone`).
 
-use ptw_core::iommu::{CompletedTranslation, Iommu, TranslationOutcome};
+use ptw_core::iommu::{CompletedTranslation, Iommu, IommuSnapshot, TranslationOutcome};
 use ptw_core::IommuStats;
 use ptw_gpu::{coalesce_split, Cu, InstructionStream, Wavefront, WavefrontPhase};
 use ptw_mem::cache::{Cache, Mshr, MshrOutcome};
@@ -943,7 +943,7 @@ impl System {
                     return Err(SimError::EventBudgetExhausted {
                         events: processed,
                         now: now.raw(),
-                        snapshot: Box::new(self.iommus[0].snapshot()),
+                        snapshot: self.stall_snapshot(),
                     });
                 }
                 if processed >= wd_next_check {
@@ -957,7 +957,7 @@ impl System {
                                 now: now.raw(),
                                 stalled_epochs: wd_stalled,
                                 retired_instructions: retired,
-                                snapshot: Box::new(self.iommus[0].snapshot()),
+                                snapshot: self.stall_snapshot(),
                             });
                         }
                     } else {
@@ -1014,7 +1014,7 @@ impl System {
                 return Err(SimError::EventBudgetExhausted {
                     events: processed,
                     now: now.raw(),
-                    snapshot: Box::new(self.iommus[0].snapshot()),
+                    snapshot: self.stall_snapshot(),
                 });
             }
             if processed >= wd_next_check {
@@ -1028,7 +1028,7 @@ impl System {
                             now: now.raw(),
                             stalled_epochs: wd_stalled,
                             retired_instructions: retired,
-                            snapshot: Box::new(self.iommus[0].snapshot()),
+                            snapshot: self.stall_snapshot(),
                         });
                     }
                 } else {
@@ -1058,6 +1058,25 @@ impl System {
         self.finish()
     }
 
+    /// Diagnostic snapshot for an aborted run: the IOMMU with the most
+    /// pending walks (the lowest index on ties), numbered when the
+    /// topology has more than one.
+    fn stall_snapshot(&self) -> Box<IommuSnapshot> {
+        // `max_by_key` keeps the last maximum: walk the IOMMUs backwards.
+        let (i, iommu) = self
+            .iommus
+            .iter()
+            .enumerate()
+            .rev()
+            .max_by_key(|(_, io)| io.pending())
+            .expect("a topology has at least one IOMMU");
+        let mut snapshot = iommu.snapshot();
+        if self.iommus.len() > 1 {
+            snapshot.iommu = Some(i);
+        }
+        Box::new(snapshot)
+    }
+
     /// Post-loop result assembly shared by both run loops: deadlock
     /// detection, CU finishing, and metric aggregation.
     fn finish(mut self) -> Result<RunResult, SimError> {
@@ -1071,7 +1090,7 @@ impl System {
             return Err(SimError::Deadlock {
                 now: end.raw(),
                 unretired_wavefronts: unretired,
-                snapshot: Box::new(self.iommus[0].snapshot()),
+                snapshot: self.stall_snapshot(),
             });
         }
         for cu in &mut self.cus {

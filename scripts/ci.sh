@@ -148,6 +148,11 @@ echo "== packed set-line smoke (packed AssocArray vs split-SoA differential orac
 # tests only) does not run — so CI runs it explicitly.
 cargo test -q -p ptw-mem differential
 
+echo "== ptw-core unit tests (candidate index, scheduler, IOMMU)"
+# The candidate index's PageMap oracle and the scheduler and IOMMU unit
+# tests live in ptw-core, which tier-1 does not run either.
+cargo test -q -p ptw-core
+
 echo "== event-fusion smoke (fused walk events vs plain-event oracle)"
 # Fused WalkerIssueBatch / TranslationDoneBatch events (DESIGN.md §14)
 # must not change anything the simulation observes. Run the same small

@@ -3,7 +3,7 @@
 //! watchdog, and crash-safe checkpoint resume.
 
 use ptw_core::sched::SchedulerKind;
-use ptw_sim::config::{FaultInjection, WatchdogConfig};
+use ptw_sim::config::{FaultInjection, ShardMap, VaRange, WatchdogConfig};
 use ptw_sim::error::{ConfigError, RunError, SimError};
 use ptw_sim::runner::{run_benchmark, ConfigVariant, Lab, RunSpec};
 use ptw_sim::sweep::{RetryPolicy, SweepExecutor};
@@ -93,6 +93,33 @@ fn exhausted_budget_is_a_typed_error_with_snapshot() {
             // The diagnostic snapshot renders the scheduling state.
             let text = snapshot.to_string();
             assert!(text.contains("walker"), "{text}");
+        }
+        other => panic!("expected budget exhaustion, got {other:?}"),
+    }
+}
+
+/// In a 2x2 topology whose shard map sends every page to IOMMU 1, IOMMU 0
+/// never sees a walk: the budget error must describe IOMMU 1 and say so.
+#[test]
+fn budget_error_snapshots_the_stalled_iommu() {
+    let mut spec = RunSpec::new(BenchmarkId::Xsb, SchedulerKind::SimtAware, Scale::Small);
+    spec.config = spec
+        .config
+        .with_topology(2, 2)
+        .with_shard_map(ShardMap::VaRanges(vec![VaRange {
+            start_page: 0,
+            end_page: u64::MAX,
+            iommu: 1,
+        }]));
+    spec.config.max_events = 20_000;
+    match run_benchmark(&spec) {
+        Err(RunError::Sim(SimError::EventBudgetExhausted { snapshot, .. })) => {
+            assert_eq!(snapshot.iommu, Some(1), "{snapshot}");
+            assert!(
+                snapshot.pending > 0 || snapshot.busy_walkers() > 0,
+                "empty snapshot: {snapshot}"
+            );
+            assert!(snapshot.to_string().starts_with("IOMMU 1: "), "{snapshot}");
         }
         other => panic!("expected budget exhaustion, got {other:?}"),
     }

@@ -8,10 +8,10 @@
 //! memory completions. After every operation the two must agree on every
 //! externally visible bit: translation outcomes, the exact PTE reads each
 //! walker kick issues, completion fan-out (order included), pending
-//! counts, statistics counters, and diagnostic snapshots (which expose
-//! per-entry aging bypass counters). The indexed IOMMU's internal
-//! invariants are additionally recomputed from scratch at intervals via
-//! `validate_candidate_index`.
+//! counts, the aging bypass count of every pending entry (kept lazily by
+//! the index, eagerly by the scan), statistics counters, and diagnostic
+//! snapshots. The indexed IOMMU's internal invariants are additionally
+//! recomputed from scratch at intervals via `validate_candidate_index`.
 //!
 //! The configuration is deliberately hostile: a 12-entry lookahead window
 //! so the buffer routinely outgrows it (exercising window pull-in on
@@ -93,7 +93,8 @@ fn assert_same_completions(
 }
 
 /// One churn run: `kind` under `seed`, indexed vs legacy in lockstep.
-fn churn(kind: SchedulerKind, seed: u64) {
+/// Returns the number of starvation-forced picks.
+fn churn(kind: SchedulerKind, seed: u64) -> u64 {
     let (table, pool) = build_pool();
     let mut cfg = IommuConfig::paper_baseline().with_scheduler(kind);
     cfg.buffer_entries = 12;
@@ -199,6 +200,11 @@ fn churn(kind: SchedulerKind, seed: u64) {
             legacy.pending(),
             "{kind:?} step {step}: pending count"
         );
+        assert_eq!(
+            indexed.pending_bypass_counts(),
+            legacy.pending_bypass_counts(),
+            "{kind:?} step {step}: per-entry bypass counts"
+        );
         if step % 127 == 0 {
             indexed.validate_candidate_index();
         }
@@ -250,6 +256,11 @@ fn churn(kind: SchedulerKind, seed: u64) {
     );
     assert_eq!(indexed.stats(), legacy.stats(), "{kind:?}: final stats");
     assert_eq!(legacy.pending(), 0, "{kind:?}: legacy did not drain");
+    assert_eq!(
+        indexed.starvation_forced_picks(),
+        legacy.starvation_forced_picks(),
+        "{kind:?}: starvation-forced picks"
+    );
 
     // Coverage floor: the run must actually have visited the regimes the
     // oracle exists to compare, or a pool/latency tweak could silently
@@ -270,13 +281,26 @@ fn churn(kind: SchedulerKind, seed: u64) {
         "{kind:?}: buffer never outgrew the window (peak {})",
         s.peak_pending
     );
+    // FCFS and Random opt out of aging. The score-ranked policies starve
+    // expensive requests in this churn, so aging must have pre-empted
+    // them (batch-only and round-robin never reach the threshold here).
+    let forced = indexed.starvation_forced_picks();
+    if matches!(kind, SchedulerKind::Fcfs | SchedulerKind::Random) {
+        assert_eq!(forced, 0, "{kind:?}: aging pre-empted an opted-out policy");
+    }
+    if kind.uses_scores() {
+        assert!(forced > 0, "{kind:?}: no starvation-forced pick");
+    }
+    forced
 }
 
 #[test]
 fn indexed_selection_is_bit_identical_to_the_window_scan() {
+    let mut forced = 0;
     for kind in POLICIES {
         for seed in [0x5eed_0001u64, 0xfeed_beef] {
-            churn(kind, seed);
+            forced += churn(kind, seed);
         }
     }
+    assert!(forced > 100, "only {forced} starvation-forced picks");
 }

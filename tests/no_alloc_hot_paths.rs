@@ -12,7 +12,10 @@
 //!   caller-owned completions buffer,
 //! * every host-cache `prefetch` hint on the translate path (TLB sets,
 //!   PWC sets, page-table map slots, IOMMU TLBs) — hints must stay pure
-//!   address arithmetic, never heap work.
+//!   address arithmetic, never heap work,
+//! * SIMT-aware selection with starvation aging: bypassing picks, a
+//!   starvation-forced pick, walk starts that block a multi-entry page
+//!   chain, and the completion fan-out that drains it.
 //!
 //! Everything runs in a single `#[test]` so no concurrent test can disturb
 //! the allocation counter between the before/after reads.
@@ -21,6 +24,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use ptw_core::iommu::{CompletedTranslation, Iommu, IommuConfig, MemRead, TranslationOutcome};
+use ptw_core::sched::SchedulerKind;
 use ptw_gpu::coalesce_split;
 use ptw_mem::{Mshr, MshrOutcome};
 use ptw_pagetable::frames::{FrameAllocator, FrameLayout};
@@ -68,6 +72,74 @@ fn assert_no_alloc<T>(what: &str, f: impl FnOnce() -> T) -> T {
         "{what}: {delta} heap allocation(s) on the hot path"
     );
     out
+}
+
+/// Drives the single started walker's walk to completion.
+fn drive(
+    iommu: &mut Iommu<u32>,
+    reads: &mut Vec<MemRead>,
+    done: &mut Vec<CompletedTranslation<u32>>,
+) {
+    let mut cur = reads.pop().expect("one started walker");
+    while let Some(next) = iommu.memory_done_into(cur.walker, cur.issue_at, done) {
+        cur = next;
+    }
+}
+
+/// One round of SIMT-aware scheduling on a one-walker IOMMU whose aging
+/// threshold is 2, over the eight pages from `base`, starting at cycle
+/// `t`. While a blocker walk is in flight (so arrivals are scored), a
+/// heavy instruction queues four pages, one of them shared with two
+/// light instructions. The first light pick bypasses the heavy entries
+/// and blocks the shared page's two other entries; its walk fans out to
+/// all three. A second light pick bypasses the heavy entries again, so
+/// the next pick is forced to the starved heavy head over a third light
+/// instruction. Instruction ids repeat across rounds, so a warmed IOMMU
+/// meets no new instruction in the measured round.
+fn simt_round(
+    iommu: &mut Iommu<u32>,
+    table: &PageTable,
+    base: u64,
+    t: u64,
+    reads: &mut Vec<MemRead>,
+    done: &mut Vec<CompletedTranslation<u32>>,
+) {
+    let page = |k: u64| VirtPage::new(base + k);
+    let arrive = |iommu: &mut Iommu<u32>, k: u64, instr: u32, at: u64| {
+        let out = iommu.translate(page(k), InstrId::new(instr), k as u32, Cycle::new(at));
+        assert!(matches!(out, TranslationOutcome::WalkPending));
+    };
+    arrive(iommu, 0, 0, t);
+    iommu.start_walkers_into(table, Cycle::new(t + 100), reads);
+    // Heavy instruction 1: pages 1, 2, 3 (shared), 4.
+    for k in 1..=4 {
+        arrive(iommu, k, 1, t + 200);
+    }
+    arrive(iommu, 3, 2, t + 200); // light: the shared page
+    arrive(iommu, 3, 3, t + 200); // light: the shared page again
+    arrive(iommu, 5, 4, t + 200); // light
+    drive(iommu, reads, done); // the blocker
+                               // Light pick of page 3: bypasses pages 1-4 and blocks the two other
+                               // page-3 entries, which then piggyback on its walk.
+    iommu.start_walkers_into(table, Cycle::new(t + 300), reads);
+    drive(iommu, reads, done);
+    assert_eq!(done.len(), 4, "blocker + own walk + two piggybacks");
+    // Light pick of page 5: the heavy head reaches the threshold.
+    iommu.start_walkers_into(table, Cycle::new(t + 400), reads);
+    arrive(iommu, 6, 5, t + 410); // light, scored while page 5 walks
+    drive(iommu, reads, done);
+    let forced = iommu.starvation_forced_picks();
+    iommu.start_walkers_into(table, Cycle::new(t + 500), reads);
+    drive(iommu, reads, done);
+    assert_eq!(iommu.starvation_forced_picks(), forced + 1, "forced pick");
+    assert_eq!(done.last().map(|c| c.waiter), Some(1), "starved head first");
+    for step in 0..3 {
+        iommu.start_walkers_into(table, Cycle::new(t + 600 + 100 * step), reads);
+        drive(iommu, reads, done);
+    }
+    assert_eq!(done.len(), 9, "every request completed");
+    assert_eq!(iommu.pending(), 0);
+    done.clear();
 }
 
 #[test]
@@ -160,17 +232,6 @@ fn hot_paths_do_not_allocate() {
     let mut iommu: Iommu<u32> = Iommu::new(IommuConfig::paper_baseline());
     let mut reads: Vec<MemRead> = Vec::with_capacity(8);
     let mut done: Vec<CompletedTranslation<u32>> = Vec::with_capacity(8);
-    // Drives the single started walker's walk to completion.
-    fn drive(
-        iommu: &mut Iommu<u32>,
-        reads: &mut Vec<MemRead>,
-        done: &mut Vec<CompletedTranslation<u32>>,
-    ) {
-        let mut cur = reads.pop().expect("one started walker");
-        while let Some(next) = iommu.memory_done_into(cur.walker, cur.issue_at, done) {
-            cur = next;
-        }
-    }
     // Warm: one full walk sizes the walker slab and the completions buffer.
     // (Walks complete after their enqueue time, hence the forward clock.)
     let miss = iommu.translate(VirtPage::new(10 << 9), InstrId::new(0), 7, Cycle::ZERO);
@@ -225,6 +286,48 @@ fn hot_paths_do_not_allocate() {
             assert_eq!(done.len(), 3, "one own walk + two piggybacks");
             assert_eq!(done.iter().filter(|c| !c.via_walk).count(), 2);
             done.clear();
+        },
+    );
+
+    // --- SIMT-aware selection with starvation aging at threshold 2. ---
+    let mut cfg = IommuConfig::paper_baseline().with_scheduler(SchedulerKind::SimtAware);
+    cfg.walkers = 1;
+    cfg.aging_threshold = 2;
+    let mut iommu: Iommu<u32> = Iommu::new(cfg);
+    // Every round's pages share one leaf table, so once the page-walk
+    // cache holds its upper levels each arrival scores the same, and the
+    // warm rounds touch every score bucket the measured round touches.
+    let region = 0x20_0000u64;
+    for vpn in region..region + 40 {
+        table
+            .map(
+                VirtPage::new(vpn),
+                PhysFrame::new(0x8000 + vpn - region),
+                &mut frames,
+            )
+            .expect("fresh mapping");
+    }
+    for round in 0..4 {
+        simt_round(
+            &mut iommu,
+            &table,
+            region + 8 * round,
+            1_000 * round,
+            &mut reads,
+            &mut done,
+        );
+    }
+    assert_no_alloc(
+        "SIMT-aware aging (bypassing picks, forced pick, page-chain block, fan-out)",
+        || {
+            simt_round(
+                &mut iommu,
+                &table,
+                region + 32,
+                4_000,
+                &mut reads,
+                &mut done,
+            )
         },
     );
 }
