@@ -5,6 +5,8 @@
 //! stay cheap) and exercise each crate's hot path in isolation.
 
 use ptw_bench::{black_box, Runner, SampleConfig};
+use ptw_core::buffer::WalkBuffer;
+use ptw_core::index::CandidateIndex;
 use ptw_core::iommu::{Iommu, IommuConfig};
 use ptw_core::request::WalkRequest;
 use ptw_core::sched::{Scheduler, SchedulerKind};
@@ -60,27 +62,39 @@ fn bench_pwc_estimate(r: &mut Runner) {
 }
 
 fn bench_scheduler_select(r: &mut Runner) {
-    // A full 256-entry window, the paper's baseline lookahead.
-    let mut rng = SplitMix64::new(1);
-    let window: Vec<WalkRequest<u32>> = (0..256)
-        .map(|i| WalkRequest {
-            page: VirtPage::new(i),
-            instr: InstrId::new((i % 24) as u32),
-            seq: i,
-            enqueued_at: Cycle::new(i),
-            own_estimate: (rng.next_below(4) + 1) as u8,
-            score: rng.next_below(256) as u32 + 1,
-            bypassed: 0,
-            waiter: i as u32,
-        })
-        .collect();
+    // A full 256-entry window, the paper's baseline lookahead, kept full:
+    // each iteration enqueues one request, then picks and removes one.
     for kind in [SchedulerKind::Fcfs, SchedulerKind::SimtAware] {
+        let mut rng = SplitMix64::new(1);
+        let mut buf: WalkBuffer<u32> = WalkBuffer::new();
+        let mut index = CandidateIndex::new(256);
+        let mut seq = 0u64;
+        let mut push = |buf: &mut WalkBuffer<u32>, index: &mut CandidateIndex| {
+            let h = buf.push(WalkRequest {
+                page: VirtPage::new(seq),
+                instr: InstrId::new((seq % 24) as u32),
+                seq,
+                enqueued_at: Cycle::new(seq),
+                own_estimate: (rng.next_below(4) + 1) as u8,
+                score: rng.next_below(256) as u32 + 1,
+                bypassed: 0,
+                waiter: seq as u32,
+            });
+            index.on_push(buf, h, false);
+            seq += 1;
+        };
+        for _ in 0..255 {
+            push(&mut buf, &mut index);
+        }
         let mut sched = Scheduler::new(kind, 2_000_000, 7);
-        let mut w = window.clone();
         r.bench(&format!("micro/select_256_{}", kind.label()), || {
-            let mut picked = 0usize;
+            let mut picked = 0u32;
             for _ in 0..1_000 {
-                picked += black_box(sched.select(&mut w, |_| true)).unwrap_or(0);
+                push(&mut buf, &mut index);
+                let h = black_box(sched.select(&buf, &mut index)).expect("window is full");
+                index.pre_remove(&buf, h);
+                picked ^= buf.remove(h).waiter;
+                index.finish_remove(&buf);
             }
             picked
         });

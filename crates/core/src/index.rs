@@ -54,11 +54,12 @@
 //!   Walk completion drains exactly the same-page chain instead of
 //!   scanning the whole buffer.
 //!
-//! The index never decides anything by itself: [`Scheduler::
-//! select_in_buffer_indexed`](crate::sched::Scheduler::select_in_buffer_indexed)
-//! reads it to reproduce — bit for bit — the decisions of the one-pass
-//! window scan, which stays in place both as the fallback for custom
-//! policies and as the differential-test oracle.
+//! The index never decides anything by itself: each policy's arm of
+//! [`Scheduler::select`](crate::sched::Scheduler::select) is one or two of
+//! its queries. Their answers equal a scan of the window's eligible
+//! entries with eager per-entry aging; the reference scan lives in the
+//! integration tests (`tests/common/`), which compare the two pick by
+//! pick.
 //!
 //! # Update contract
 //!
@@ -389,8 +390,7 @@ impl CandidateIndex {
         }
     }
 
-    /// Number of eligible in-window entries (the candidate count the
-    /// one-pass scan would gather).
+    /// Number of eligible in-window entries: the candidate count.
     pub fn eligible_in_window(&self) -> usize {
         self.elig_count
     }

@@ -11,10 +11,10 @@
 //!
 //! 1. **Arrival** ([`Iommu::translate`]): if no walker is idle and the
 //!    policy is score-based, the new request probes the PWC (1-a) and the
-//!    buffer is scanned to accumulate the per-instruction score (1-b).
-//! 2. **Walker ready** ([`Iommu::start_walkers`]): the scheduler scans the
-//!    buffer window (2-a) and the chosen request performs its PWC lookup
-//!    and walk (2-b).
+//!    instruction's pending requests are rescored (1-b).
+//! 2. **Walker ready** ([`Iommu::start_walkers`]): the scheduler picks
+//!    from the buffer window (2-a) and the chosen request performs its
+//!    PWC lookup and walk (2-b).
 //!
 //! # Driving the walkers
 //!
@@ -39,7 +39,7 @@ use ptw_types::time::Cycle;
 use crate::buffer::WalkBuffer;
 use crate::index::CandidateIndex;
 use crate::request::WalkRequest;
-use crate::sched::{IndexedOutcome, Scheduler, SchedulerKind};
+use crate::sched::{Scheduler, SchedulerKind};
 
 /// Configuration of the IOMMU (Table I baseline in
 /// [`paper_baseline`](IommuConfig::paper_baseline)).
@@ -378,33 +378,27 @@ pub struct Iommu<W> {
     scheduler: Scheduler,
     buffer: WalkBuffer<W>,
     /// Incremental candidate state shadowing `buffer` (blocked flags,
-    /// window membership, per-instruction aggregates, same-page chains).
-    /// Maintained on every push/remove/walk-start regardless of the
-    /// selection mode, so the completion fan-out can always drain page
-    /// chains.
+    /// window membership, per-instruction aggregates, same-page chains),
+    /// maintained on every push/remove/walk-start. The scheduler selects
+    /// from it, and the completion fan-out drains its page chains.
     index: CandidateIndex,
-    /// Whether selection is answered from `index` (the default) or by the
-    /// legacy one-pass window scan (the differential-test oracle path).
-    indexed: bool,
     walkers: Vec<WalkerState<W>>,
     /// Pages currently being walked → walker index, to stop a second
     /// walker from redundantly walking the same page. At most one entry
-    /// per walker, so a dense pair list beats a hash map: the eligibility
-    /// probe in the selection loop is a ≤-16-entry linear scan with no
-    /// hashing.
+    /// per walker, so a dense pair list beats a hash map: the blocked
+    /// probe on arrival is a ≤-16-entry linear scan with no hashing.
     inflight_pages: Vec<(u64, usize)>,
     /// Count of `Busy` entries in `walkers`, maintained on every state
     /// transition: the free-walker test sits inside the per-arrival and
     /// per-completion hot loops, where an O(walkers) rescan shows up.
     busy_count: usize,
-    /// Memoised "the last whole-buffer selection scan found nothing
-    /// eligible". A scan that returns `None` has no side effects (no
-    /// aging, no policy callback, no RNG draw), and its inputs are only
-    /// the buffered requests and the inflight-page set — so the outcome
-    /// holds, and the scan can be skipped, until one of those changes: a
-    /// new request entering the buffer or a walk completing. Starvation
-    /// state cannot flip it either, because `bypassed` counters move only
-    /// on *successful* selects.
+    /// Memoised "the last selection found nothing eligible". A fruitless
+    /// select has no side effects (no aging, no RNG draw), and its inputs
+    /// are only the buffered requests and the inflight-page set — so the
+    /// outcome holds, and selection can be skipped, until one of those
+    /// changes: a new request entering the buffer or a walk completing.
+    /// Starvation state cannot flip it either, because bypass counts move
+    /// only on *successful* selects.
     start_blocked: bool,
     next_seq: u64,
     next_service_seq: u64,
@@ -437,7 +431,6 @@ impl<W> Iommu<W> {
             scheduler: Scheduler::new(cfg.scheduler, cfg.aging_threshold, cfg.seed),
             buffer: WalkBuffer::new(),
             index: CandidateIndex::new(cfg.buffer_entries),
-            indexed: true,
             walkers,
             inflight_pages: Vec::new(),
             busy_count: 0,
@@ -494,34 +487,11 @@ impl<W> Iommu<W> {
 
     /// Whether a [`start_walkers`](Self::start_walkers) call could start
     /// anything at all: an idle walker exists, the buffer is non-empty,
-    /// and the pending set is not known-blocked from a previous scan.
+    /// and the pending set is not known-blocked from a previous selection.
     /// Callers use this to skip the whole selection path on the (common)
     /// cycles where every walker is busy or no walk can be dispatched.
     pub fn can_start(&self) -> bool {
         !self.start_blocked && self.has_free_walker() && !self.buffer.is_empty()
-    }
-
-    /// Switches between index-answered selection (default, `true`) and the
-    /// legacy one-pass window scan (`false`).
-    ///
-    /// The two make bit-identical decisions for every built-in policy —
-    /// `tests/indexed_selection_oracle.rs` pins this differentially — so
-    /// the switch exists for that oracle and for debugging, not for
-    /// behavior. The candidate index is maintained either way.
-    ///
-    /// The two paths keep bypass counts in different forms (lazily in the
-    /// index, eagerly in the requests), so an IOMMU uses one of them for
-    /// its whole life.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a request has already arrived.
-    pub fn set_indexed_selection(&mut self, on: bool) {
-        assert_eq!(
-            self.next_seq, 0,
-            "selection mode is fixed once requests arrive"
-        );
-        self.indexed = on;
     }
 
     /// Test-only: exhaustively recomputes the candidate index from the
@@ -535,16 +505,6 @@ impl<W> Iommu<W> {
     #[doc(hidden)]
     pub fn starvation_forced_picks(&self) -> u64 {
         self.scheduler.forced_picks()
-    }
-
-    /// Test-only: `(seq, bypass count)` of every pending request in
-    /// arrival order, whichever form the selection path keeps them in.
-    #[doc(hidden)]
-    pub fn pending_bypass_counts(&self) -> Vec<(u64, u64)> {
-        self.buffer
-            .iter()
-            .map(|(h, r)| (r.seq, self.index.bypassed(&self.buffer, h)))
-            .collect()
     }
 
     /// Captures a diagnostic freeze-frame of buffer and walker state for
@@ -672,7 +632,7 @@ impl<W> Iommu<W> {
         // pending requests (1-b).
         let mut own_estimate = 0u8;
         let mut score = 0u32;
-        if !self.has_free_walker() && self.scheduler.uses_scores() {
+        if !self.has_free_walker() && self.cfg.scheduler.uses_scores() {
             own_estimate = self.pwc.estimate_sized(page, size).accesses;
             // All pending requests of one instruction share a score, so
             // the chain head holds the prior (O(1)); the rescore walks
@@ -750,32 +710,13 @@ impl<W> Iommu<W> {
             return;
         }
         while self.has_free_walker() && !self.buffer.is_empty() {
-            let handle = if self.indexed {
-                match self
-                    .scheduler
-                    .select_in_buffer_indexed(&self.buffer, &mut self.index)
-                {
-                    IndexedOutcome::Selected(h) => h,
-                    IndexedOutcome::NoneEligible => {
-                        // Unlike the window-limited scan, the index sees
-                        // window *membership* exactly (pull-ins included),
-                        // and eligibility is monotone — so "nothing
-                        // eligible" holds until an arrival or completion
-                        // perturbs it, and both of those clear the flag.
-                        self.start_blocked = true;
-                        break;
-                    }
-                    // Custom policy without an indexed form: scan path.
-                    IndexedOutcome::Unsupported => match self.select_by_scan() {
-                        Some(h) => h,
-                        None => break,
-                    },
-                }
-            } else {
-                match self.select_by_scan() {
-                    Some(h) => h,
-                    None => break,
-                }
+            let Some(handle) = self.scheduler.select(&self.buffer, &mut self.index) else {
+                // The index sees window *membership* exactly (pull-ins
+                // included), and eligibility is monotone — so "nothing
+                // eligible" holds until an arrival or completion perturbs
+                // it, and both of those clear the flag.
+                self.start_blocked = true;
+                break;
             };
             // Pull the structures the walk is about to probe — the PWC set
             // lines and the page table's map slots — into host cache while
@@ -814,29 +755,6 @@ impl<W> Iommu<W> {
             };
             self.busy_count += 1;
         }
-    }
-
-    /// Legacy one-pass selection: scans the window and probes the
-    /// inflight-page set per entry. Used when indexed selection is off and
-    /// for custom policies without an indexed form. Manages the
-    /// `start_blocked` memo on a fruitless scan.
-    fn select_by_scan(&mut self) -> Option<u32> {
-        let window_len = self.buffer.len().min(self.cfg.buffer_entries);
-        let inflight = &self.inflight_pages;
-        let picked = self
-            .scheduler
-            .select_in_buffer(&mut self.buffer, window_len, |r| {
-                !inflight.iter().any(|&(p, _)| p == r.page.raw())
-            });
-        if picked.is_none() {
-            // A fruitless scan over the *whole* buffer stays fruitless
-            // until an arrival or a completion perturbs its inputs; both
-            // of those paths clear the flag. (A window-limited scan is not
-            // memoised: entries beyond the window could become visible
-            // without either event firing.)
-            self.start_blocked = window_len == self.buffer.len();
-        }
-        picked
     }
 
     /// Reports that the outstanding PTE read of `walker` finished at `now`.

@@ -16,13 +16,13 @@
 //! * [`request`] — the buffered walk request (instruction ID, score, aging);
 //! * [`buffer`] — the pending-walk buffer: an arrival-ordered slab with a
 //!   per-instruction index (stable `u32` handles, O(1) insert/remove);
-//! * [`policy`] — the open [`WalkPolicy`](policy::WalkPolicy) trait, the
-//!   seven built-in policies (FCFS / Random / SJF-only / Batch-only /
-//!   SIMT-aware / Heaviest-first / Round-robin), and the name→factory
-//!   [`PolicyRegistry`](policy::PolicyRegistry);
-//! * [`sched`] — the [`Scheduler`](sched::Scheduler) shell (eligibility
-//!   scan, starvation aging, dispatch notification) and the
-//!   [`SchedulerKind`](sched::SchedulerKind) parse/display façade;
+//! * [`index`] — the incremental [`CandidateIndex`](index::CandidateIndex)
+//!   over the buffer window: eligibility, per-instruction aggregates, lazy
+//!   aging counts, same-page chains;
+//! * [`sched`] — the [`SchedulerKind`](sched::SchedulerKind) policy names
+//!   (FCFS / Random / SJF-only / Batch-only / SIMT-aware / Heaviest-first /
+//!   Round-robin) and the [`Scheduler`](sched::Scheduler) that answers each
+//!   of them from the candidate index, with starvation aging;
 //! * [`iommu`] — the IOMMU block: two TLB levels, the pending-walk buffer,
 //!   page-walk caches with 2-bit counter pinning, and the walker pool.
 //!
@@ -72,7 +72,6 @@
 pub mod buffer;
 pub mod index;
 pub mod iommu;
-pub mod policy;
 pub mod request;
 pub mod sched;
 
@@ -81,8 +80,5 @@ pub use index::CandidateIndex;
 pub use iommu::{
     CompletedTranslation, Iommu, IommuConfig, IommuStats, MemRead, TranslationOutcome,
 };
-pub use policy::{
-    BatchFallback, Candidate, IndexedSelect, PolicyEntry, PolicyParams, PolicyRegistry, WalkPolicy,
-};
 pub use request::WalkRequest;
-pub use sched::{IndexedOutcome, Scheduler, SchedulerKind};
+pub use sched::{Scheduler, SchedulerKind};

@@ -26,43 +26,13 @@ pub struct WalkRequest<W> {
     /// Estimated memory accesses to service *all* pending walks of
     /// `instr` (shared across the instruction's buffer entries; 1–256).
     pub score: u32,
-    /// Number of younger requests scheduled ahead of this one (aging).
-    /// Under index-answered selection the
-    /// [`CandidateIndex`](crate::index::CandidateIndex) keeps the count of
-    /// a schedulable request lazily and writes it here only when the
-    /// request's page blocks; read counts through
-    /// [`Iommu::snapshot`](crate::iommu::Iommu::snapshot).
+    /// Frozen aging count of a blocked request: how many younger
+    /// requests were scheduled ahead of it before its page went inflight.
+    /// The [`CandidateIndex`](crate::index::CandidateIndex) keeps a
+    /// schedulable request's count lazily and writes it here only when the
+    /// request's page blocks, so this reads 0 until then; read live counts
+    /// through [`Iommu::snapshot`](crate::iommu::Iommu::snapshot).
     pub bypassed: u64,
     /// Caller token released when the translation completes.
     pub waiter: W,
-}
-
-impl<W> WalkRequest<W> {
-    /// Whether this request has starved past `threshold` bypasses and must
-    /// be prioritized (Section IV "Design Subtleties").
-    pub fn is_starved(&self, threshold: u64) -> bool {
-        self.bypassed >= threshold
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn starvation_threshold() {
-        let r = WalkRequest {
-            page: VirtPage::new(1),
-            instr: InstrId::new(0),
-            seq: 0,
-            enqueued_at: Cycle::ZERO,
-            own_estimate: 4,
-            score: 4,
-            bypassed: 5,
-            waiter: (),
-        };
-        assert!(!r.is_starved(6));
-        assert!(r.is_starved(5));
-        assert!(r.is_starved(0));
-    }
 }

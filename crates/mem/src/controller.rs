@@ -23,9 +23,9 @@
 //! oldest gated row hit is always the cached hit, so only one or two
 //! candidates per bank can ever win. The pre-index two-phase scan over the
 //! arrival list is kept verbatim as [`next_issue_legacy`]
-//! (MemoryController::next_issue_legacy), the differential oracle; setting
-//! the environment variable `PTW_DRAM_ORACLE=1` routes all scheduling
-//! through it at runtime so end-to-end equality can be asserted from CI.
+//! (MemoryController::next_issue_legacy), the differential oracle;
+//! [`force_oracle`](MemoryController::force_oracle) routes all scheduling
+//! through it so end-to-end equality can be asserted in tests.
 //! DESIGN.md §13 states the invariants and the equivalence argument.
 //!
 //! # Driving the controller
@@ -587,7 +587,7 @@ pub struct MemoryController {
     next_id: u64,
     stats: MemStats,
     /// Route scheduling through the legacy arrival-order scan instead of
-    /// the per-bank index (set from `PTW_DRAM_ORACLE`, or by tests).
+    /// the per-bank index (set by tests through `force_oracle`).
     use_oracle: bool,
     /// Last cycle at which the queue-depth/bank-occupancy integrals were
     /// brought up to date.
@@ -600,11 +600,6 @@ pub struct MemoryController {
 
 impl MemoryController {
     /// Creates a controller for the given DRAM configuration.
-    ///
-    /// When the environment variable `PTW_DRAM_ORACLE` is set to anything
-    /// but `0` or the empty string, scheduling runs through the legacy
-    /// whole-queue scan (the differential oracle) instead of the per-bank
-    /// index; results must be identical either way, and CI asserts so.
     ///
     /// # Panics
     ///
@@ -626,8 +621,6 @@ impl MemoryController {
                 ready_dirty: false,
             })
             .collect();
-        let use_oracle =
-            std::env::var_os("PTW_DRAM_ORACLE").is_some_and(|v| !v.is_empty() && v != "0");
         MemoryController {
             cfg,
             policy,
@@ -635,7 +628,7 @@ impl MemoryController {
             inflight: BinaryHeap::new(),
             next_id: 0,
             stats: MemStats::default(),
-            use_oracle,
+            use_oracle: false,
             last_obs: Cycle::ZERO,
             queued_total: 0,
             busy_banks_total: 0,
@@ -658,8 +651,8 @@ impl MemoryController {
     }
 
     /// Forces scheduling through the legacy scan (`true`) or the per-bank
-    /// index (`false`), overriding the `PTW_DRAM_ORACLE` environment
-    /// variable. Differential-test hook; not part of the stable API.
+    /// index (`false`, the default). Differential-test hook; not part of
+    /// the stable API.
     #[doc(hidden)]
     pub fn force_oracle(&mut self, on: bool) {
         self.use_oracle = on;

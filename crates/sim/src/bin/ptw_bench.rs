@@ -886,9 +886,8 @@ fn main() -> ExitCode {
         started.elapsed().as_secs_f64()
     );
     // Aggregate DRAM counters: summed locality and integrals, max peaks.
-    // Deterministic for a given spec, so `scripts/ci.sh` asserts this line
-    // is identical with and without PTW_DRAM_ORACLE (indexed FR-FCFS
-    // selection vs the legacy full-queue scan).
+    // Deterministic for a given spec, so two builds can be compared by
+    // this one greppable line.
     {
         let hits: u64 = cells.iter().map(|c| c.mem.row_hits).sum();
         let conflicts: u64 = cells.iter().map(|c| c.mem.row_conflicts).sum();

@@ -15,6 +15,13 @@ use crate::error::ConfigError;
 /// epoch longer than this could never complete at our workload scales.
 pub const MAX_EPOCH_ACCESSES: u64 = 1 << 30;
 
+/// Largest walker pool per IOMMU and largest IOMMU count: walker and
+/// IOMMU indices travel through the simulator as `u8`.
+pub const MAX_WALKERS: usize = 256;
+
+/// Largest IOMMU count of a topology (see [`MAX_WALKERS`]).
+pub const MAX_IOMMUS: usize = 256;
+
 /// Livelock-watchdog thresholds.
 ///
 /// Every `check_events` processed events the watchdog samples the retired
@@ -344,13 +351,19 @@ impl SystemConfig {
     /// Rejects configurations that cannot describe a real machine, before
     /// any simulation state is built.
     ///
-    /// Checks: nonzero walker pool and IOMMU buffer, nonzero CU count,
+    /// Checks: walker pool in `1..=`[`MAX_WALKERS`], nonzero IOMMU buffer,
+    /// nonzero CU count, IOMMU count in `1..=`[`MAX_IOMMUS`],
     /// well-formed TLB geometries (entries a positive multiple of ways,
     /// power-of-two set count), epoch length in `1..=`
     /// [`MAX_EPOCH_ACCESSES`], and watchdog thresholds that can fire.
     pub fn validate(&self) -> Result<(), ConfigError> {
         if self.iommu.walkers == 0 {
             return Err(ConfigError::ZeroWalkers);
+        }
+        if self.iommu.walkers > MAX_WALKERS {
+            return Err(ConfigError::TooManyWalkers {
+                got: self.iommu.walkers,
+            });
         }
         if self.iommu.buffer_entries == 0 {
             return Err(ConfigError::ZeroBufferEntries);
@@ -387,6 +400,9 @@ impl SystemConfig {
         let topo = &self.topology;
         if topo.iommus == 0 {
             return Err(ConfigError::ZeroIommus);
+        }
+        if topo.iommus > MAX_IOMMUS {
+            return Err(ConfigError::TooManyIommus { got: topo.iommus });
         }
         if topo.gpu_shards == 0 {
             return Err(ConfigError::ZeroGpuShards);
@@ -511,6 +527,19 @@ mod tests {
     }
 
     #[test]
+    fn validate_bounds_the_walker_pool_to_u8_ids() {
+        let c = SystemConfig::paper_baseline().with_walkers(MAX_WALKERS);
+        assert!(c.validate().is_ok());
+        let c = SystemConfig::paper_baseline().with_walkers(MAX_WALKERS + 1);
+        assert_eq!(
+            c.validate(),
+            Err(ConfigError::TooManyWalkers {
+                got: MAX_WALKERS + 1
+            })
+        );
+    }
+
+    #[test]
     fn validate_rejects_degenerate_topologies() {
         use crate::error::ConfigError;
         let mut c = SystemConfig::paper_baseline();
@@ -520,6 +549,16 @@ mod tests {
         let mut c = SystemConfig::paper_baseline();
         c.topology.gpu_shards = 0;
         assert_eq!(c.validate(), Err(ConfigError::ZeroGpuShards));
+
+        let c = SystemConfig::paper_baseline().with_topology(1, MAX_IOMMUS);
+        assert!(c.validate().is_ok());
+        let c = SystemConfig::paper_baseline().with_topology(1, MAX_IOMMUS + 1);
+        assert_eq!(
+            c.validate(),
+            Err(ConfigError::TooManyIommus {
+                got: MAX_IOMMUS + 1
+            })
+        );
 
         let c = SystemConfig::paper_baseline().with_topology(64, 2);
         assert_eq!(

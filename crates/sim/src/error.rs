@@ -19,6 +19,12 @@ use ptw_core::iommu::IommuSnapshot;
 pub enum ConfigError {
     /// The IOMMU walker pool is empty; no walk could ever be serviced.
     ZeroWalkers,
+    /// More walkers than [`MAX_WALKERS`](crate::config::MAX_WALKERS):
+    /// walker ids are `u8`.
+    TooManyWalkers {
+        /// The rejected walker count.
+        got: usize,
+    },
     /// The IOMMU buffer holds zero entries; no walk could ever be queued.
     ZeroBufferEntries,
     /// The GPU has zero compute units; no wavefront could ever run.
@@ -44,6 +50,12 @@ pub enum ConfigError {
     WatchdogStallEpochsZero,
     /// The topology has zero IOMMUs; no walk could ever be serviced.
     ZeroIommus,
+    /// More IOMMUs than [`MAX_IOMMUS`](crate::config::MAX_IOMMUS): IOMMU
+    /// indices are `u8`.
+    TooManyIommus {
+        /// The rejected IOMMU count.
+        got: usize,
+    },
     /// The topology has zero GPU shards; no CU could be placed.
     ZeroGpuShards,
     /// More GPU shards than compute units: some shards would be empty.
@@ -87,6 +99,11 @@ impl std::fmt::Display for ConfigError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             ConfigError::ZeroWalkers => write!(f, "IOMMU needs at least one page-table walker"),
+            ConfigError::TooManyWalkers { got } => write!(
+                f,
+                "IOMMU has {got} walkers (at most {})",
+                crate::config::MAX_WALKERS
+            ),
             ConfigError::ZeroBufferEntries => {
                 write!(f, "IOMMU buffer needs at least one entry")
             }
@@ -106,6 +123,11 @@ impl std::fmt::Display for ConfigError {
                 "watchdog enabled but stall_epochs is zero; it would never fire"
             ),
             ConfigError::ZeroIommus => write!(f, "topology needs at least one IOMMU"),
+            ConfigError::TooManyIommus { got } => write!(
+                f,
+                "topology has {got} IOMMUs (at most {})",
+                crate::config::MAX_IOMMUS
+            ),
             ConfigError::ZeroGpuShards => write!(f, "topology needs at least one GPU shard"),
             ConfigError::MoreShardsThanCus { shards, cus } => write!(
                 f,

@@ -225,12 +225,12 @@ impl Supervisor {
         let status = match self.wait_with_deadline(&mut child) {
             Ok(status) => status,
             Err(e) => {
-                // Kill + reap, then join the drainers (the pipes close once
-                // the child is gone, so they terminate promptly).
+                // Kill + reap, but do not join the drainers: a descendant
+                // of the worker (e.g. a command under `sh -c`) can keep the
+                // pipes open past the kill. The drainers exit on their own
+                // once the last writer closes them.
                 let _ = child.kill();
                 let _ = child.wait();
-                let _ = out_thread.join();
-                let _ = err_thread.join();
                 return Err(e);
             }
         };

@@ -220,9 +220,10 @@ pub struct System {
     /// Free slots in `done_batch_slots`.
     done_batch_free: Vec<u32>,
     /// Emit fused batch events for same-cycle walk-start and completion
-    /// fan-out runs (the default). Cleared by `PTW_UNFUSED_EVENTS` — the
-    /// differential-oracle mode CI runs to pin the fused and unfused
-    /// event streams to identical simulated results.
+    /// fan-out runs (the default). Cleared by
+    /// [`force_unfused`](System::force_unfused), the differential-test
+    /// mode that pins the fused and unfused event streams to identical
+    /// simulated results.
     fuse_events: bool,
 }
 
@@ -312,22 +313,25 @@ impl System {
             walk_batch_free: Vec::new(),
             done_batch_slots: Vec::new(),
             done_batch_free: Vec::new(),
-            // Mirrors the DRAM controller's `PTW_DRAM_ORACLE` hook: any
-            // non-empty value other than `0` disables event fusion so CI
-            // can assert the fused and unfused streams agree end to end.
-            fuse_events: !std::env::var_os("PTW_UNFUSED_EVENTS")
-                .is_some_and(|v| !v.is_empty() && v != "0"),
+            fuse_events: true,
             workload,
             cfg,
         })
     }
 
-    /// Forces fused batch events on or off, overriding the
-    /// `PTW_UNFUSED_EVENTS` environment variable. Differential-test hook;
-    /// not part of the stable API.
+    /// Turns fused batch events off (`true`) or back on. Differential-test
+    /// hook; not part of the stable API.
     #[doc(hidden)]
     pub fn force_unfused(&mut self, on: bool) {
         self.fuse_events = !on;
+    }
+
+    /// Routes DRAM scheduling through the controller's legacy whole-queue
+    /// scan (`true`) or its per-bank index (`false`, the default).
+    /// Differential-test hook; not part of the stable API.
+    #[doc(hidden)]
+    pub fn force_dram_oracle(&mut self, on: bool) {
+        self.mem.force_oracle(on);
     }
 
     /// Claims a recycled slot for a walker-kick batch payload.
@@ -1213,33 +1217,6 @@ mod tests {
         // output; the exact size today is 16 bytes (tag word + payload).
         assert_eq!(std::mem::size_of::<Event>(), 16);
         assert_eq!(std::mem::align_of::<Event>(), 8);
-    }
-
-    #[test]
-    fn event_fusion_changes_only_the_event_count() {
-        // Scattered XSB piggybacks heavily, so both fusion shapes (walker
-        // kicks and completion fan-outs) fire. The fused run must pop
-        // strictly fewer events yet report the same simulated outcome in
-        // every other field — f64s included, bit for bit.
-        for sched in [SchedulerKind::Fcfs, SchedulerKind::SimtAware] {
-            let cfg = SystemConfig::paper_baseline().with_scheduler(sched);
-            let fused = System::new(cfg.clone(), build(BenchmarkId::Xsb, Scale::Small, 7)).run();
-            let mut sys = System::new(cfg, build(BenchmarkId::Xsb, Scale::Small, 7));
-            sys.force_unfused(true);
-            let unfused = sys.run();
-            assert!(
-                fused.events < unfused.events,
-                "fusion saved no events: {} vs {}",
-                fused.events,
-                unfused.events
-            );
-            let mut normalized = unfused.clone();
-            normalized.events = fused.events;
-            assert_eq!(
-                fused, normalized,
-                "fusion changed simulated behavior under {sched:?}"
-            );
-        }
     }
 
     #[test]

@@ -107,40 +107,6 @@ if [[ -z "$min_iommu" || "$min_iommu" -eq 0 ]]; then
 fi
 echo "$topo_line"
 
-echo "== dram scheduler smoke (indexed FR-FCFS selection vs legacy-scan oracle)"
-# The per-bank indexed DRAM controller must produce exactly the row
-# locality and queue occupancy the legacy full-queue scan produces.
-# Run the same small cell twice — indexed (default) and with
-# PTW_DRAM_ORACLE=1 — and assert the greppable dram-smoke lines match.
-dram_a="$(mktemp)"
-dram_b="$(mktemp)"
-trap 'rm -f "$smoke_out" "$proc_out" "$topo_out" "$dram_a" "$dram_b"' EXIT
-./target/release/ptw-bench --scale small --reps 1 --policies fcfs \
-  --quiet >"$dram_a" 2>&1
-PTW_DRAM_ORACLE=1 ./target/release/ptw-bench --scale small --reps 1 \
-  --policies fcfs --quiet >"$dram_b" 2>&1
-line_a="$(grep 'dram-smoke:' "$dram_a")" || {
-  echo "FAIL: no dram-smoke summary line"
-  cat "$dram_a"
-  exit 1
-}
-line_b="$(grep 'dram-smoke:' "$dram_b")" || {
-  echo "FAIL: no dram-smoke summary line under PTW_DRAM_ORACLE=1"
-  cat "$dram_b"
-  exit 1
-}
-if [[ "$line_a" != "$line_b" ]]; then
-  echo "FAIL: indexed DRAM stats diverge from the legacy-scan oracle"
-  echo "indexed: $line_a"
-  echo "oracle:  $line_b"
-  exit 1
-fi
-grep -q "row_hits=[1-9]" <<<"$line_a" || {
-  echo "FAIL: dram smoke cell produced no row hits: $line_a"
-  exit 1
-}
-echo "$line_a"
-
 echo "== packed set-line smoke (packed AssocArray vs split-SoA differential oracle)"
 # The packed LineBlock layout (DESIGN.md §14) must match the pre-packing
 # split-SoA implementation bit for bit. The randomized differential
@@ -153,35 +119,9 @@ echo "== ptw-core unit tests (candidate index, scheduler, IOMMU)"
 # tests live in ptw-core, which tier-1 does not run either.
 cargo test -q -p ptw-core
 
-echo "== event-fusion smoke (fused walk events vs plain-event oracle)"
-# Fused WalkerIssueBatch / TranslationDoneBatch events (DESIGN.md §14)
-# must not change anything the simulation observes. Run the same small
-# cell twice — fused (default) and with PTW_UNFUSED_EVENTS=1 — and
-# assert the greppable dram-smoke lines match. (Do NOT compare the
-# total/events lines: the event count legitimately drops under fusion.)
-fuse_a="$(mktemp)"
-fuse_b="$(mktemp)"
-trap 'rm -f "$smoke_out" "$proc_out" "$topo_out" "$dram_a" "$dram_b" "$fuse_a" "$fuse_b"' EXIT
-./target/release/ptw-bench --scale small --reps 1 --policies fcfs,simt-aware \
-  --quiet >"$fuse_a" 2>&1
-PTW_UNFUSED_EVENTS=1 ./target/release/ptw-bench --scale small --reps 1 \
-  --policies fcfs,simt-aware --quiet >"$fuse_b" 2>&1
-fline_a="$(grep 'dram-smoke:' "$fuse_a")" || {
-  echo "FAIL: no dram-smoke summary line in fused run"
-  cat "$fuse_a"
-  exit 1
-}
-fline_b="$(grep 'dram-smoke:' "$fuse_b")" || {
-  echo "FAIL: no dram-smoke summary line under PTW_UNFUSED_EVENTS=1"
-  cat "$fuse_b"
-  exit 1
-}
-if [[ "$fline_a" != "$fline_b" ]]; then
-  echo "FAIL: fused event stream diverges from the plain-event oracle"
-  echo "fused:   $fline_a"
-  echo "unfused: $fline_b"
-  exit 1
-fi
-echo "$fline_a"
+echo "== ptw-sim unit tests (config, supervisor, wire, checkpoint, system)"
+# Tier-1 does not run these either. The fused-event and DRAM-oracle
+# differentials run in tier-1 (tests/batched_dispatch_oracle.rs).
+cargo test -q -p ptw-sim
 
 echo "CI OK"

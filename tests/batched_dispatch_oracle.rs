@@ -15,6 +15,12 @@
 //! history; this one guards the two loops against each other at every
 //! cell, so a same-cycle ordering bug in the batcher cannot hide in a
 //! benchmark the goldens don't cover.
+//!
+//! The same file pins the simulator's two other differential hooks at
+//! every small-scale benchmark under FCFS and SIMT-aware: unfused walk
+//! events (`System::force_unfused`) may change only the event count, and
+//! the DRAM controller's legacy whole-queue scan
+//! (`System::force_dram_oracle`) may change nothing at all.
 
 use ptw_core::sched::SchedulerKind;
 use ptw_sim::{RunResult, SimError, System, SystemConfig};
@@ -48,6 +54,51 @@ fn every_cell_is_bit_identical_across_loops() {
             );
         }
     }
+}
+
+#[test]
+fn event_fusion_and_dram_oracle_change_no_result() {
+    let (mut fused_total, mut unfused_total) = (0u64, 0u64);
+    for bench in BenchmarkId::ALL {
+        for sched in [SchedulerKind::Fcfs, SchedulerKind::SimtAware] {
+            let cfg = SystemConfig::paper_baseline().with_scheduler(sched);
+            let run = |tweak: fn(&mut System)| {
+                let mut sys = System::try_new(cfg.clone(), build(bench, Scale::Small, 0xC0FFEE))
+                    .expect("valid config");
+                tweak(&mut sys);
+                sys.try_run()
+                    .unwrap_or_else(|e| panic!("{bench}/{sched:?}: {e}"))
+            };
+            let base = run(|_| {});
+            let unfused = run(|s| s.force_unfused(true));
+            let oracle = run(|s| s.force_dram_oracle(true));
+
+            assert!(
+                base.events <= unfused.events,
+                "{bench}/{sched:?}: fusion added events ({} vs {})",
+                base.events,
+                unfused.events
+            );
+            fused_total += base.events;
+            unfused_total += unfused.events;
+            let normalized = RunResult {
+                events: base.events,
+                ..unfused
+            };
+            assert_eq!(
+                base, normalized,
+                "{bench}/{sched:?}: unfused events changed the simulated result"
+            );
+            assert_eq!(
+                base, oracle,
+                "{bench}/{sched:?}: the DRAM legacy scan changed the result"
+            );
+        }
+    }
+    assert!(
+        fused_total < unfused_total,
+        "fusion saved no events: {fused_total} vs {unfused_total}"
+    );
 }
 
 #[test]

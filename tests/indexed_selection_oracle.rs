@@ -1,24 +1,22 @@
-//! Randomized differential oracle for the incremental candidate index.
+//! Candidate-index consistency under full IOMMU churn.
 //!
-//! Two IOMMUs with identical configuration — one using the incremental
-//! [`CandidateIndex`] selection path (the default), one forced onto the
-//! legacy one-pass window scan via `set_indexed_selection(false)` — are
-//! driven through thousands of steps of identical churn: interleaved
+//! One IOMMU is driven through thousands of steps of interleaved
 //! translations over a 4K/2M page mix, walker kicks, and out-of-order
-//! memory completions. After every operation the two must agree on every
-//! externally visible bit: translation outcomes, the exact PTE reads each
-//! walker kick issues, completion fan-out (order included), pending
-//! counts, the aging bypass count of every pending entry (kept lazily by
-//! the index, eagerly by the scan), statistics counters, and diagnostic
-//! snapshots. The indexed IOMMU's internal invariants are additionally
-//! recomputed from scratch at intervals via `validate_candidate_index`.
+//! memory completions, and after every step its candidate index is
+//! recomputed from scratch and compared (`validate_candidate_index`):
+//! blocked flags, window membership, per-instruction aggregates, and the
+//! lazy aging counts. The index's picks themselves are pinned against the
+//! reference scan in `tests/scheduler_oracle.rs`; this test covers what
+//! only the IOMMU does to the index — scoring on arrival, piggyback
+//! fan-out on completion, large-page walks — and checks every walk still
+//! completes.
 //!
 //! The configuration is deliberately hostile: a 12-entry lookahead window
 //! so the buffer routinely outgrows it (exercising window pull-in on
 //! removal), and an aging threshold of 40 so starvation preemption fires
 //! constantly. All seven scheduling policies run under two seeds each.
 
-use ptw_core::iommu::{CompletedTranslation, Iommu, IommuConfig, MemRead};
+use ptw_core::iommu::{CompletedTranslation, Iommu, IommuConfig, MemRead, TranslationOutcome};
 use ptw_core::sched::SchedulerKind;
 use ptw_pagetable::frames::{FrameAllocator, FrameLayout};
 use ptw_pagetable::table::PageTable;
@@ -67,33 +65,8 @@ fn build_pool() -> (PageTable, Vec<(VirtPage, PageSize)>) {
     (table, pool)
 }
 
-fn assert_same_completions(
-    kind: SchedulerKind,
-    step: usize,
-    a: &[CompletedTranslation<u32>],
-    b: &[CompletedTranslation<u32>],
-) {
-    assert_eq!(a.len(), b.len(), "{kind:?} step {step}: fan-out size");
-    for (x, y) in a.iter().zip(b) {
-        let same = x.page == y.page
-            && x.frame == y.frame
-            && x.instr == y.instr
-            && x.enqueued_at == y.enqueued_at
-            && x.completed_at == y.completed_at
-            && x.via_walk == y.via_walk
-            && x.walk_accesses == y.walk_accesses
-            && x.service_seq == y.service_seq
-            && x.large == y.large
-            && x.waiter == y.waiter;
-        assert!(
-            same,
-            "{kind:?} step {step}: completion diverged:\n  indexed: {x:?}\n  legacy:  {y:?}"
-        );
-    }
-}
-
-/// One churn run: `kind` under `seed`, indexed vs legacy in lockstep.
-/// Returns the number of starvation-forced picks.
+/// One churn run of `kind` under `seed`. Returns the number of
+/// starvation-forced picks.
 fn churn(kind: SchedulerKind, seed: u64) -> u64 {
     let (table, pool) = build_pool();
     let mut cfg = IommuConfig::paper_baseline().with_scheduler(kind);
@@ -102,170 +75,87 @@ fn churn(kind: SchedulerKind, seed: u64) -> u64 {
     // Two walkers against bursty arrivals: the buffer must back up past
     // the window or the selection policies never face a real choice.
     cfg.walkers = 2;
-    let mut indexed: Iommu<u32> = Iommu::new(cfg);
-    let mut legacy: Iommu<u32> = Iommu::new(cfg);
-    legacy.set_indexed_selection(false);
+    let mut iommu: Iommu<u32> = Iommu::new(cfg);
 
     let mut rng = SplitMix64::new(seed);
-    // Reads issued by *both* IOMMUs (asserted identical at issue time).
     let mut outstanding: Vec<MemRead> = Vec::new();
-    let (mut reads_a, mut reads_b) = (Vec::new(), Vec::new());
-    let (mut done_a, mut done_b): (Vec<CompletedTranslation<u32>>, _) = (Vec::new(), Vec::new());
+    let mut reads = Vec::new();
+    let mut done: Vec<CompletedTranslation<u32>> = Vec::new();
+    let mut completed = 0usize;
     let mut now = 0u64;
 
-    let complete_one = |i: usize,
-                        outstanding: &mut Vec<MemRead>,
-                        indexed: &mut Iommu<u32>,
-                        legacy: &mut Iommu<u32>,
-                        done_a: &mut Vec<CompletedTranslation<u32>>,
-                        done_b: &mut Vec<CompletedTranslation<u32>>,
-                        now: u64,
-                        step: usize| {
-        let read = outstanding.swap_remove(i);
-        let at = Cycle::new(now.max(read.issue_at.raw()) + 40);
-        done_a.clear();
-        done_b.clear();
-        let next_a = indexed.memory_done_into(read.walker, at, done_a);
-        let next_b = legacy.memory_done_into(read.walker, at, done_b);
-        assert_eq!(next_a, next_b, "{kind:?} step {step}: walker next read");
-        assert_same_completions(kind, step, done_a, done_b);
-        if let Some(next) = next_a {
-            outstanding.push(next);
-        }
-    };
+    let mut complete_one =
+        |i: usize, outstanding: &mut Vec<MemRead>, iommu: &mut Iommu<u32>, now: u64| {
+            let read = outstanding.swap_remove(i);
+            let at = Cycle::new(now.max(read.issue_at.raw()) + 40);
+            done.clear();
+            if let Some(next) = iommu.memory_done_into(read.walker, at, &mut done) {
+                outstanding.push(next);
+            }
+            completed += done.len();
+        };
 
-    for step in 0..STEPS {
+    let mut arrived = 0usize;
+    for _ in 0..STEPS {
         now += 1 + rng.next_below(3);
         match rng.next_below(10) {
             0..=4 => {
                 // A burst of arrivals, wavefront-style: several pages on
                 // behalf of a handful of instructions in one cycle.
-                for burst in 0..=rng.next_below(5) {
+                for _ in 0..=rng.next_below(5) {
                     let (page, size) = pool[rng.next_below(pool.len() as u64) as usize];
                     let instr = InstrId::new(rng.next_below(INSTRS) as u32);
-                    let t = Cycle::new(now);
-                    let waiter = (step * 8 + burst as usize) as u32;
-                    let out_a = indexed.translate_sized(page, size, instr, waiter, t);
-                    let out_b = legacy.translate_sized(page, size, instr, waiter, t);
-                    assert_eq!(out_a, out_b, "{kind:?} step {step}: translate outcome");
+                    let waiter = arrived as u32;
+                    if iommu.translate_sized(page, size, instr, waiter, Cycle::new(now))
+                        == TranslationOutcome::WalkPending
+                    {
+                        arrived += 1;
+                    }
                 }
             }
-            5..=8 => {
-                for _ in 0..2 {
+            // Two completions, or a burst drain of eight that pulls the
+            // queue down so the buffer cannot grow without bound.
+            c => {
+                let n = if c == 9 { 8 } else { 2 };
+                for _ in 0..n {
                     if outstanding.is_empty() {
                         break;
                     }
                     let i = rng.next_below(outstanding.len() as u64) as usize;
-                    complete_one(
-                        i,
-                        &mut outstanding,
-                        &mut indexed,
-                        &mut legacy,
-                        &mut done_a,
-                        &mut done_b,
-                        now,
-                        step,
-                    );
-                }
-            }
-            _ => {
-                // Burst drain: pull the queue down so the buffer cannot
-                // grow without bound over a long run.
-                for _ in 0..8 {
-                    if outstanding.is_empty() {
-                        break;
-                    }
-                    let i = rng.next_below(outstanding.len() as u64) as usize;
-                    complete_one(
-                        i,
-                        &mut outstanding,
-                        &mut indexed,
-                        &mut legacy,
-                        &mut done_a,
-                        &mut done_b,
-                        now,
-                        step,
-                    );
+                    complete_one(i, &mut outstanding, &mut iommu, now);
                 }
             }
         }
-        reads_a.clear();
-        reads_b.clear();
-        indexed.start_walkers_into(&table, Cycle::new(now), &mut reads_a);
-        legacy.start_walkers_into(&table, Cycle::new(now), &mut reads_b);
-        assert_eq!(reads_a, reads_b, "{kind:?} step {step}: issued reads");
-        outstanding.extend(reads_a.iter().copied());
-        assert_eq!(
-            indexed.pending(),
-            legacy.pending(),
-            "{kind:?} step {step}: pending count"
-        );
-        assert_eq!(
-            indexed.pending_bypass_counts(),
-            legacy.pending_bypass_counts(),
-            "{kind:?} step {step}: per-entry bypass counts"
-        );
-        if step % 127 == 0 {
-            indexed.validate_candidate_index();
-        }
-        if step % 97 == 0 {
-            assert_eq!(
-                indexed.snapshot(),
-                legacy.snapshot(),
-                "{kind:?} step {step}: snapshot (incl. bypass counters)"
-            );
-            assert_eq!(
-                indexed.stats(),
-                legacy.stats(),
-                "{kind:?} step {step}: stats"
-            );
-        }
+        reads.clear();
+        iommu.start_walkers_into(&table, Cycle::new(now), &mut reads);
+        outstanding.extend(reads.iter().copied());
+        iommu.validate_candidate_index();
     }
 
-    // Drain to quiescence: every remaining walk must finish identically.
+    // Drain to quiescence: every remaining walk must finish.
     let mut guard = 0;
-    while !outstanding.is_empty() || indexed.pending() > 0 {
+    while !outstanding.is_empty() || iommu.pending() > 0 {
         guard += 1;
         assert!(guard < 200_000, "{kind:?}: drain did not quiesce");
         now += 5;
         if !outstanding.is_empty() {
             let i = rng.next_below(outstanding.len() as u64) as usize;
-            complete_one(
-                i,
-                &mut outstanding,
-                &mut indexed,
-                &mut legacy,
-                &mut done_a,
-                &mut done_b,
-                now,
-                STEPS,
-            );
+            complete_one(i, &mut outstanding, &mut iommu, now);
         }
-        reads_a.clear();
-        reads_b.clear();
-        indexed.start_walkers_into(&table, Cycle::new(now), &mut reads_a);
-        legacy.start_walkers_into(&table, Cycle::new(now), &mut reads_b);
-        assert_eq!(reads_a, reads_b, "{kind:?} drain: issued reads");
-        outstanding.extend(reads_a.iter().copied());
+        reads.clear();
+        iommu.start_walkers_into(&table, Cycle::new(now), &mut reads);
+        outstanding.extend(reads.iter().copied());
+        iommu.validate_candidate_index();
     }
-    indexed.validate_candidate_index();
     assert_eq!(
-        indexed.snapshot(),
-        legacy.snapshot(),
-        "{kind:?}: final snapshot"
-    );
-    assert_eq!(indexed.stats(), legacy.stats(), "{kind:?}: final stats");
-    assert_eq!(legacy.pending(), 0, "{kind:?}: legacy did not drain");
-    assert_eq!(
-        indexed.starvation_forced_picks(),
-        legacy.starvation_forced_picks(),
-        "{kind:?}: starvation-forced picks"
+        completed, arrived,
+        "{kind:?}: a pending walk never completed"
     );
 
     // Coverage floor: the run must actually have visited the regimes the
-    // oracle exists to compare, or a pool/latency tweak could silently
+    // oracle exists to check, or a pool/latency tweak could silently
     // reduce this test to an idle-walker smoke test.
-    let s = indexed.stats();
+    let s = iommu.stats();
     assert!(
         s.walks_performed > 300,
         "{kind:?}: only {} walks",
@@ -284,7 +174,7 @@ fn churn(kind: SchedulerKind, seed: u64) -> u64 {
     // FCFS and Random opt out of aging. The score-ranked policies starve
     // expensive requests in this churn, so aging must have pre-empted
     // them (batch-only and round-robin never reach the threshold here).
-    let forced = indexed.starvation_forced_picks();
+    let forced = iommu.starvation_forced_picks();
     if matches!(kind, SchedulerKind::Fcfs | SchedulerKind::Random) {
         assert_eq!(forced, 0, "{kind:?}: aging pre-empted an opted-out policy");
     }
@@ -295,7 +185,7 @@ fn churn(kind: SchedulerKind, seed: u64) -> u64 {
 }
 
 #[test]
-fn indexed_selection_is_bit_identical_to_the_window_scan() {
+fn candidate_index_stays_consistent_under_iommu_churn() {
     let mut forced = 0;
     for kind in POLICIES {
         for seed in [0x5eed_0001u64, 0xfeed_beef] {

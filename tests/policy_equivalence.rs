@@ -1,13 +1,12 @@
 //! Policy-equivalence regression test.
 //!
-//! The scheduler layer was refactored from a closed `match` on
-//! [`SchedulerKind`] into the open `WalkPolicy` trait + registry. This
-//! golden test pins the *selection behavior* across that refactor: each of
-//! the seven policies is driven through a long, deterministic sequence of
+//! This golden test pins the *selection rules* of the seven policies: the
+//! reference scheduler (`tests/common/reference.rs`, a window scan with
+//! eager aging) is driven through a long, deterministic sequence of
 //! walk-request windows (with churn, ineligibility, aging pressure, and
 //! duplicate scores), and the sequence of chosen request `seq` numbers is
-//! compared against a trace recorded with the pre-refactor enum `match`
-//! implementation.
+//! compared against a recorded trace. `tests/scheduler_oracle.rs` ties
+//! the production `Scheduler` to the same reference pick by pick.
 //!
 //! To re-bless the golden file after an *intentional* behavior change:
 //!
@@ -15,10 +14,13 @@
 //! PTW_BLESS=1 cargo test --test policy_equivalence
 //! ```
 
+mod common;
+
 use std::fmt::Write as _;
 
+use common::reference::RefScheduler;
 use ptw_core::request::WalkRequest;
-use ptw_core::sched::{Scheduler, SchedulerKind};
+use ptw_core::sched::SchedulerKind;
 use ptw_types::addr::VirtPage;
 use ptw_types::ids::InstrId;
 use ptw_types::rng::SplitMix64;
@@ -50,7 +52,7 @@ fn req(seq: u64, instr: u32, score: u32) -> WalkRequest<()> {
 /// path is exercised inside the trace, not just in the common case.
 fn trace(kind: SchedulerKind) -> String {
     let mut rng = SplitMix64::new(0x901DE4);
-    let mut sched = Scheduler::new(kind, 24, 0xC0FFEE);
+    let mut sched = RefScheduler::new(kind, 24, 0xC0FFEE);
     let mut window: Vec<WalkRequest<()>> = Vec::new();
     let mut next_seq = 0u64;
     let mut picks = Vec::new();
