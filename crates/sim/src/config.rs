@@ -354,7 +354,10 @@ impl SystemConfig {
     /// Checks: walker pool in `1..=`[`MAX_WALKERS`], nonzero IOMMU buffer,
     /// nonzero CU count, IOMMU count in `1..=`[`MAX_IOMMUS`],
     /// well-formed TLB geometries (entries a positive multiple of ways,
-    /// power-of-two set count), epoch length in `1..=`
+    /// power-of-two set count), well-formed data caches
+    /// ([`CacheConfig::validate`](ptw_mem::cache::CacheConfig::validate)),
+    /// a consistent DRAM configuration
+    /// ([`DramConfig::validate`]), epoch length in `1..=`
     /// [`MAX_EPOCH_ACCESSES`], and watchdog thresholds that can fire.
     pub fn validate(&self) -> Result<(), ConfigError> {
         if self.iommu.walkers == 0 {
@@ -388,6 +391,18 @@ impl SystemConfig {
                     ways: tlb.ways,
                 });
             }
+        }
+        for (name, cache) in [("l1", &self.l1_cache), ("l2", &self.l2_cache)] {
+            if cache.validate().is_err() {
+                return Err(ConfigError::CacheGeometry {
+                    cache: name,
+                    size_bytes: cache.size_bytes,
+                    ways: cache.ways,
+                });
+            }
+        }
+        if let Err(reason) = self.dram.validate() {
+            return Err(ConfigError::DramGeometry { reason });
         }
         if self.epoch_accesses == 0 || self.epoch_accesses > MAX_EPOCH_ACCESSES {
             return Err(ConfigError::EpochAccessesOutOfRange {

@@ -40,6 +40,26 @@ pub enum ConfigError {
         /// The offending way count.
         ways: usize,
     },
+    /// A data cache's geometry is degenerate: fewer than one whole set of
+    /// 64 B lines, or a way count outside 1..=64 or not dividing the line
+    /// count.
+    CacheGeometry {
+        /// Which cache ("l1" or "l2").
+        cache: &'static str,
+        /// The offending capacity in bytes.
+        size_bytes: usize,
+        /// The offending way count.
+        ways: usize,
+    },
+    /// The DRAM geometry or timing is inconsistent (see
+    /// [`DramConfig::validate`](ptw_mem::dram::DramConfig::validate)):
+    /// channel or per-channel bank counts that are not powers of two,
+    /// more than [`MAX_BANKS_PER_CHANNEL`](ptw_mem::dram::MAX_BANKS_PER_CHANNEL)
+    /// banks per channel, a row under 64 B, or row timings out of order.
+    DramGeometry {
+        /// The violated constraint.
+        reason: String,
+    },
     /// The Figure 12 epoch length is zero or implausibly large.
     EpochAccessesOutOfRange {
         /// The rejected value.
@@ -113,6 +133,18 @@ impl std::fmt::Display for ConfigError {
                 "{tlb} TLB geometry invalid: {entries} entries / {ways} ways \
                  (need entries a positive multiple of ways and a power-of-two set count)"
             ),
+            ConfigError::CacheGeometry {
+                cache,
+                size_bytes,
+                ways,
+            } => write!(
+                f,
+                "{cache} data cache geometry invalid: {size_bytes} bytes / {ways} ways \
+                 (need 1..=64 ways dividing a positive number of 64B lines)"
+            ),
+            ConfigError::DramGeometry { reason } => {
+                write!(f, "DRAM configuration invalid: {reason}")
+            }
             ConfigError::EpochAccessesOutOfRange { got } => write!(
                 f,
                 "epoch length {got} out of range (need 1..={})",

@@ -169,16 +169,15 @@ impl MetricsCollector {
         // Interleaving: the instruction's own walks occupy a span of the
         // global walk service order; foreign walks in that span mean the
         // instruction's walks were interleaved (Figure 5).
-        let own: Vec<u64> = log
+        let (own, min, max) = log
             .observations
             .iter()
             .filter(|o| o.via_walk)
-            .map(|o| o.service_seq)
-            .collect();
-        if own.len() >= 2 {
-            let min = *own.iter().min().expect("non-empty");
-            let max = *own.iter().max().expect("non-empty");
-            self.instr_spans.push((own.len() as u64, min, max));
+            .fold((0u64, u64::MAX, 0u64), |(n, lo, hi), o| {
+                (n + 1, lo.min(o.service_seq), hi.max(o.service_seq))
+            });
+        if own >= 2 {
+            self.instr_spans.push((own, min, max));
         }
     }
 

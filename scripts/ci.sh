@@ -107,12 +107,14 @@ if [[ -z "$min_iommu" || "$min_iommu" -eq 0 ]]; then
 fi
 echo "$topo_line"
 
-echo "== packed set-line smoke (packed AssocArray vs split-SoA differential oracle)"
+echo "== ptw-mem unit tests (packed AssocArray, DRAM pick, MSHR and key-map oracles)"
 # The packed LineBlock layout (DESIGN.md §14) must match the pre-packing
-# split-SoA implementation bit for bit. The randomized differential
-# oracle lives in ptw-mem's unit tests, which tier-1 (root integration
-# tests only) does not run — so CI runs it explicitly.
-cargo test -q -p ptw-mem differential
+# split-SoA implementation bit for bit, the DRAM controller's carried pick
+# and row-hit mask must match fresh selections and the verbatim scan
+# (§13), and the keyed MSHR must match a linear-scan reference (§10).
+# These randomized oracles live in ptw-mem's unit tests, which tier-1
+# (root integration tests only) does not run — so CI runs them all.
+cargo test -q -p ptw-mem
 
 echo "== ptw-core unit tests (candidate index, scheduler, IOMMU)"
 # The candidate index's PageMap oracle and the scheduler and IOMMU unit

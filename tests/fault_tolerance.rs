@@ -81,6 +81,48 @@ fn validate_rejects_each_degenerate_config() {
     }
 }
 
+/// DRAM and data-cache geometries the memory side cannot build are
+/// rejected as typed config errors by `validate`, `System::try_new` and
+/// the run layer alike, instead of panicking inside a constructor; and the
+/// largest bank count the DRAM controller's chain keys hold is accepted.
+#[test]
+fn validate_rejects_bad_dram_and_cache_geometries() {
+    let base = SystemConfig::paper_baseline();
+    let mut three_channels = base.clone();
+    three_channels.dram.channels = 3;
+    let mut odd_l1 = base.clone();
+    odd_l1.l1_cache.size_bytes = 100;
+    let mut too_many_banks = base.clone();
+    too_many_banks.dram.banks_per_rank = 256; // 512 banks per channel
+    let cases = [
+        (three_channels, "channels"),
+        (odd_l1, "l1"),
+        (too_many_banks, "banks per channel"),
+    ];
+    for (cfg, what) in cases {
+        let err = cfg.validate().expect_err(what);
+        match &err {
+            ConfigError::DramGeometry { reason } => assert!(reason.contains(what), "{reason}"),
+            ConfigError::CacheGeometry { cache, .. } => assert_eq!(*cache, what),
+            other => panic!("{what}: unexpected {other:?}"),
+        }
+        let built = System::try_new(cfg.clone(), build(BenchmarkId::Kmn, Scale::Small, 1));
+        assert_eq!(built.err(), Some(err.clone()), "{what}");
+        let mut spec = RunSpec::new(BenchmarkId::Kmn, SchedulerKind::Fcfs, Scale::Small);
+        spec.config = cfg;
+        match run_benchmark(&spec) {
+            Err(RunError::Config(e)) => assert_eq!(e, err, "{what}"),
+            other => panic!("{what}: expected a config error, got {other:?}"),
+        }
+    }
+
+    // 2 ranks x 128 banks: exactly the 256-bank limit.
+    let mut widest = base.clone();
+    widest.dram.banks_per_rank = 128;
+    assert_eq!(widest.validate(), Ok(()));
+    assert!(System::try_new(widest, build(BenchmarkId::Kmn, Scale::Small, 1)).is_ok());
+}
+
 #[test]
 fn exhausted_budget_is_a_typed_error_with_snapshot() {
     let mut spec = RunSpec::new(BenchmarkId::Kmn, SchedulerKind::Fcfs, Scale::Small);

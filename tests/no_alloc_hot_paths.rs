@@ -15,7 +15,10 @@
 //!   address arithmetic, never heap work,
 //! * SIMT-aware selection with starvation aging: bypassing picks, a
 //!   starvation-forced pick, walk starts that block a multi-entry page
-//!   chain, and the completion fan-out that drains it.
+//!   chain, and the completion fan-out that drains it,
+//! * the metrics collector's `instruction_done` on a multi-walk log and
+//!   its `l2_tlb_access`, once one instruction and one epoch have sized
+//!   the span log and the wavefront set.
 //!
 //! Everything runs in a single `#[test]` so no concurrent test can disturb
 //! the allocation counter between the before/after reads.
@@ -29,6 +32,7 @@ use ptw_gpu::coalesce_split;
 use ptw_mem::{Mshr, MshrOutcome};
 use ptw_pagetable::frames::{FrameAllocator, FrameLayout};
 use ptw_pagetable::{PageTable, PageWalkCache, PwcConfig};
+use ptw_sim::metrics::{InstrWalkLog, MetricsCollector, WalkObservation};
 use ptw_tlb::{Tlb, TlbConfig};
 use ptw_types::addr::{LineAddr, PhysFrame, VirtAddr, VirtPage};
 use ptw_types::ids::InstrId;
@@ -215,6 +219,32 @@ fn hot_paths_do_not_allocate() {
         mshr.complete_into(line_a, &mut waiters);
         assert_eq!(waiters.len(), 2);
         waiters.clear();
+    });
+
+    // --- Metrics: per-instruction and per-L2-TLB-access bookkeeping. ---
+    let mut metrics = MetricsCollector::new(16);
+    let mut log = InstrWalkLog::default();
+    for (seq, via_walk) in [(7, true), (9, true), (8, false), (12, true)] {
+        log.record(WalkObservation {
+            latency: 100 + seq,
+            completed_at: Cycle::new(1_000 + seq),
+            service_seq: seq,
+            via_walk,
+            accesses: 4,
+        });
+    }
+    // Warm: one full epoch sizes the epoch's wavefront set, and one
+    // instruction gives the span log room (it grows by doubling, so a
+    // run reallocates it O(log n) times, never once per instruction).
+    for wf in 0..16u32 {
+        metrics.l2_tlb_access(wf);
+    }
+    metrics.instruction_done(&log);
+    assert_no_alloc("metrics instruction_done / l2_tlb_access", || {
+        metrics.instruction_done(&log);
+        for wf in 0..16u32 {
+            metrics.l2_tlb_access(15 - wf);
+        }
     });
 
     // --- Coalescer: the split form reuses the caller's buffers. ---
