@@ -52,7 +52,9 @@
 //!   frozen into its `bypassed` field when it blocks.
 //! * **Page chains** — all pending entries of one page, in arrival order.
 //!   Walk completion drains exactly the same-page chain instead of
-//!   scanning the whole buffer.
+//!   scanning the whole buffer. Each chain's head and tail sit in a
+//!   [`U64Map`] keyed by page number (the workspace's one open-addressed
+//!   map), pre-sized so a warmed index never grows it.
 //!
 //! The index never decides anything by itself: each policy's arm of
 //! [`Scheduler::select`](crate::sched::Scheduler::select) is one or two of
@@ -78,158 +80,12 @@
 use std::collections::HashMap;
 
 use ptw_types::ids::InstrId;
+use ptw_types::map::U64Map;
 
 use crate::buffer::WalkBuffer;
 
 /// Sentinel for "no slot / no position".
 const NIL: u32 = u32::MAX;
-
-/// One slot of the open-addressed [`PageMap`]. A slot is empty iff
-/// `chain.head == NIL` — live chains always have a head, so no separate
-/// occupancy marker (or tombstone) is needed.
-#[derive(Clone, Copy, Debug)]
-struct PageSlot {
-    key: u64,
-    chain: PageChain,
-}
-
-const EMPTY_SLOT: PageSlot = PageSlot {
-    key: 0,
-    chain: PageChain {
-        head: NIL,
-        tail: NIL,
-    },
-};
-
-/// Open-addressed page-number → chain table: linear probing, power-of-two
-/// capacity, backward-shift deletion (no tombstones, so probe sequences
-/// never degrade under the steady insert/remove churn of the completion
-/// fan-out path). The map is touched on every buffer push and remove, so
-/// it sits on the simulator's hottest path; the keys are trusted simulator
-/// state (virtual page numbers, not attacker-controlled input), so a
-/// hardened hash buys nothing here — one splitmix-style multiply-xor round
-/// spreads the low-bit-heavy page numbers across the power-of-two mask.
-/// Replaces the last `HashMap` on the hot path; the load factor is kept at
-/// or below 1/2 so `no_alloc_hot_paths`'s warmed working set never grows
-/// the table inside the measured region.
-#[derive(Debug)]
-struct PageMap {
-    slots: Vec<PageSlot>,
-    mask: usize,
-    len: usize,
-}
-
-impl PageMap {
-    /// A map pre-sized for `cap` chains without growing.
-    fn with_capacity(cap: usize) -> Self {
-        let slots = (cap.max(2) * 2).next_power_of_two();
-        PageMap {
-            slots: vec![EMPTY_SLOT; slots],
-            mask: slots - 1,
-            len: 0,
-        }
-    }
-
-    /// Home slot of `key`: multiply by an odd constant, fold the high bits
-    /// down, mask.
-    #[inline]
-    fn home(&self, key: u64) -> usize {
-        let x = key.wrapping_mul(0xf135_7aea_2e62_a9c5);
-        ((x ^ (x >> 29)) as usize) & self.mask
-    }
-
-    #[inline]
-    fn get(&self, key: u64) -> Option<&PageChain> {
-        let mut i = self.home(key);
-        loop {
-            let s = &self.slots[i];
-            if s.chain.head == NIL {
-                return None;
-            }
-            if s.key == key {
-                return Some(&s.chain);
-            }
-            i = (i + 1) & self.mask;
-        }
-    }
-
-    #[inline]
-    fn get_mut(&mut self, key: u64) -> Option<&mut PageChain> {
-        let mut i = self.home(key);
-        loop {
-            if self.slots[i].chain.head == NIL {
-                return None;
-            }
-            if self.slots[i].key == key {
-                return Some(&mut self.slots[i].chain);
-            }
-            i = (i + 1) & self.mask;
-        }
-    }
-
-    /// Inserts `key` (must be absent) with `chain`.
-    fn insert(&mut self, key: u64, chain: PageChain) {
-        debug_assert!(chain.head != NIL, "cannot store an empty chain");
-        if (self.len + 1) * 2 > self.slots.len() {
-            self.grow();
-        }
-        let mut i = self.home(key);
-        while self.slots[i].chain.head != NIL {
-            debug_assert_ne!(self.slots[i].key, key, "duplicate page key");
-            i = (i + 1) & self.mask;
-        }
-        self.slots[i] = PageSlot { key, chain };
-        self.len += 1;
-    }
-
-    /// Removes `key` (no-op if absent), closing the probe gap by shifting
-    /// displaced successors back so no tombstone is left behind.
-    fn remove(&mut self, key: u64) {
-        let mut i = self.home(key);
-        loop {
-            if self.slots[i].chain.head == NIL {
-                return;
-            }
-            if self.slots[i].key == key {
-                break;
-            }
-            i = (i + 1) & self.mask;
-        }
-        self.len -= 1;
-        let mut gap = i;
-        let mut j = i;
-        loop {
-            j = (j + 1) & self.mask;
-            let s = self.slots[j];
-            if s.chain.head == NIL {
-                break;
-            }
-            // `s` may move into the gap iff its home slot is cyclically at
-            // or before the gap — i.e. its probe distance reaches past it.
-            let home = self.home(s.key);
-            if (j.wrapping_sub(home) & self.mask) >= (j.wrapping_sub(gap) & self.mask) {
-                self.slots[gap] = s;
-                gap = j;
-            }
-        }
-        self.slots[gap] = EMPTY_SLOT;
-    }
-
-    fn grow(&mut self) {
-        let doubled = vec![EMPTY_SLOT; self.slots.len() * 2];
-        let old = std::mem::replace(&mut self.slots, doubled);
-        self.mask = self.slots.len() - 1;
-        for s in old {
-            if s.chain.head != NIL {
-                let mut i = self.home(s.key);
-                while self.slots[i].chain.head != NIL {
-                    i = (i + 1) & self.mask;
-                }
-                self.slots[i] = s;
-            }
-        }
-    }
-}
 
 /// Per-handle shadow state (parallel to the buffer's slab).
 #[derive(Clone, Copy, Debug)]
@@ -326,7 +182,7 @@ impl ScoreBuckets {
 }
 
 /// First/last pending entry of one page (arrival order).
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, Default)]
 struct PageChain {
     head: u32,
     tail: u32,
@@ -367,7 +223,7 @@ pub struct CandidateIndex {
     /// Raw ids of active instructions (unordered, swap-removed).
     active: Vec<u32>,
     buckets: ScoreBuckets,
-    pages: PageMap,
+    pages: U64Map<PageChain>,
     pending_remove: Option<PendingRemove>,
 }
 
@@ -385,7 +241,7 @@ impl CandidateIndex {
             instr: Vec::new(),
             active: Vec::new(),
             buckets: ScoreBuckets::default(),
-            pages: PageMap::with_capacity(1024),
+            pages: U64Map::with_capacity(1024),
             pending_remove: None,
         }
     }
@@ -480,7 +336,7 @@ impl CandidateIndex {
     /// `bypassed` field. Call after removing the started entry itself
     /// from the buffer.
     pub fn block_page<W>(&mut self, buf: &mut WalkBuffer<W>, page: u64) {
-        let Some(&PageChain { tail, .. }) = self.pages.get(page) else {
+        let Some(PageChain { tail, .. }) = self.pages.get(page) else {
             return;
         };
         // A newly blocked in-window entry's count is the sum of the tags
@@ -540,9 +396,7 @@ impl CandidateIndex {
         }
         let chain = self.pages.get_mut(key).expect("entry has a page chain");
         if chain.head == handle && chain.tail == handle {
-            // Last entry of the page: drop the chain while its slot is
-            // still live (a stored chain must never have `head == NIL`,
-            // which the probe loops read as "empty slot").
+            // Last entry of the page: drop the chain.
             self.pages.remove(key);
         } else {
             if chain.head == handle {
@@ -1001,96 +855,5 @@ impl CandidateIndex {
                 "bucket membership of instr {raw}"
             );
         }
-    }
-}
-
-#[cfg(test)]
-mod page_map_tests {
-    use super::{PageChain, PageMap, NIL};
-    use ptw_types::rng::SplitMix64;
-    use std::collections::HashMap;
-
-    fn chain(head: u32, tail: u32) -> PageChain {
-        PageChain { head, tail }
-    }
-
-    /// Random insert/remove/update churn against a std `HashMap` oracle,
-    /// with a key range small enough to force dense collisions, backward
-    /// shifts across wrapped probe runs, and several growth steps.
-    #[test]
-    fn open_addressing_matches_hashmap_oracle() {
-        let mut rng = SplitMix64::new(0x9A6E);
-        for keyspace in [16u64, 64, 4096] {
-            let mut map = PageMap::with_capacity(2);
-            let mut oracle: HashMap<u64, PageChain> = HashMap::new();
-            for op in 0..20_000u32 {
-                let key = rng.next_below(keyspace);
-                match rng.next_below(4) {
-                    0 | 1 => {
-                        // Upsert through the same path the index uses.
-                        let h = (rng.next_below(1 << 20)) as u32;
-                        match map.get_mut(key) {
-                            Some(c) => c.tail = h,
-                            None => map.insert(key, chain(h, h)),
-                        }
-                        oracle
-                            .entry(key)
-                            .and_modify(|c| c.tail = h)
-                            .or_insert_with(|| chain(h, h));
-                    }
-                    2 => {
-                        if oracle.remove(&key).is_some() {
-                            map.remove(key);
-                        }
-                    }
-                    _ => {
-                        let got = map.get(key).map(|c| (c.head, c.tail));
-                        let want = oracle.get(&key).map(|c| (c.head, c.tail));
-                        assert_eq!(got, want, "lookup diverged at op {op} key {key}");
-                    }
-                }
-                assert_eq!(map.len, oracle.len(), "length diverged at op {op}");
-            }
-            // Exhaustive sweep: every oracle entry present, nothing extra.
-            for (&k, c) in &oracle {
-                assert_eq!(map.get(k).map(|v| v.head), Some(c.head), "key {k} lost");
-            }
-            let live = map.slots.iter().filter(|s| s.chain.head != NIL).count();
-            assert_eq!(live, oracle.len(), "ghost slots after churn");
-        }
-    }
-
-    /// Deletion in the middle of a colliding probe run must shift the
-    /// displaced successors back so they stay reachable (the classic
-    /// open-addressing tombstone bug).
-    #[test]
-    fn backward_shift_keeps_colliders_reachable() {
-        let mut map = PageMap::with_capacity(8);
-        // Find keys sharing one home slot.
-        let mut colliders = Vec::new();
-        let target = map.home(0);
-        for k in 0..100_000u64 {
-            if map.home(k) == target {
-                colliders.push(k);
-            }
-            if colliders.len() == 4 {
-                break;
-            }
-        }
-        assert_eq!(colliders.len(), 4, "keyspace yields colliding homes");
-        for (i, &k) in colliders.iter().enumerate() {
-            map.insert(k, chain(i as u32, i as u32));
-        }
-        // Remove the first inserted (home-slot resident); the rest must
-        // remain findable.
-        map.remove(colliders[0]);
-        for (i, &k) in colliders.iter().enumerate().skip(1) {
-            assert_eq!(
-                map.get(k).map(|c| c.head),
-                Some(i as u32),
-                "collider {k} unreachable after backward shift"
-            );
-        }
-        assert!(map.get(colliders[0]).is_none());
     }
 }

@@ -11,19 +11,18 @@
 //! not write bandwidth.
 //!
 //! The MSHR file is a free-listed slab of waiter buffers found through an
-//! open-addressed line index (the crate's shared `u64 → u32` map, also
-//! behind the DRAM controller's row chains): a register probes two to
+//! open-addressed line index (the workspace's one `u64` map, [`U64Map`],
+//! also behind the DRAM controller's row chains): a register probes two to
 //! three slots on average in the medium-scale runs, where the linear scan
 //! it replaced compared 45–83 outstanding lines (see [`Mshr::peak`] for
 //! sizing), and a retired entry keeps its waiter buffer in its slab slot
 //! for the next miss (DESIGN.md §10).
 
-use ptw_types::addr::{LineAddr, LINE_SHIFT};
+use ptw_types::addr::{LineAddr, LINE_SHIFT, LINE_SIZE};
+use ptw_types::map::U64Map;
 use ptw_types::stats::HitRate;
 
 use crate::assoc::{AssocArray, Replacement, SetIndex};
-use crate::keymap::KeyMap;
-use ptw_types::addr::LINE_SIZE;
 
 /// Geometry of one cache.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -195,7 +194,7 @@ pub struct Mshr<W> {
     /// Free slot indices.
     free: Vec<u32>,
     /// Outstanding line address → slot.
-    index: KeyMap,
+    index: U64Map<u32>,
     peak: usize,
 }
 
@@ -204,7 +203,7 @@ impl<W> Default for Mshr<W> {
         Mshr {
             slots: Vec::new(),
             free: Vec::new(),
-            index: KeyMap::new(),
+            index: U64Map::with_capacity(32),
             peak: 0,
         }
     }
@@ -269,7 +268,7 @@ impl<W> Mshr<W> {
 
     /// Whether no refills are outstanding.
     pub fn is_empty(&self) -> bool {
-        self.index.len() == 0
+        self.index.is_empty()
     }
 
     /// High-water mark of outstanding lines (for sizing diagnostics).

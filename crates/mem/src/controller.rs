@@ -21,7 +21,9 @@
 //! with at least one queued request) instead of the whole request queue:
 //! within one bank the oldest gated request is always the FIFO head and the
 //! oldest gated row hit is always the cached hit, so only one or two
-//! candidates per bank can ever win. Shallow queues take an arrival-order
+//! candidates per bank can ever win. Each (bank, row) chain's youngest
+//! request, its append point, is kept in a [`U64Map`] keyed by the packed
+//! (row, bank) pair. Shallow queues take an arrival-order
 //! scan instead, whose search for a younger gate-ready row hit reads a
 //! per-channel bitset of banks with a cached hit rather than the rest of
 //! the queue. Each channel carries its next pick (time and request), kept
@@ -44,10 +46,10 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use ptw_types::addr::LineAddr;
+use ptw_types::map::U64Map;
 use ptw_types::time::Cycle;
 
 use crate::dram::{map_address, DramConfig, DramCoord};
-use crate::keymap::KeyMap;
 
 /// Null handle for the intrusive lists below.
 const NIL: u32 = u32::MAX;
@@ -203,7 +205,7 @@ struct Channel {
     banks: Vec<Bank>,
     /// Youngest queued request per live (bank, row) chain — the O(1)
     /// append point for `row_next` threading.
-    row_tails: KeyMap,
+    row_tails: U64Map<u32>,
     /// Bitset over banks whose cached `hit` is set (bit `b % 64` of word
     /// `b / 64`); kept in step with every write of [`Bank::hit`] by
     /// [`Channel::set_hit`]. The arrival scan's phase 2 reads it instead
@@ -300,10 +302,12 @@ impl Channel {
     fn unlink(&mut self, h: u32) {
         let p = self.slab[h as usize];
         let bank_idx = p.coord.bank;
-        // The issued entry was its chain's head, so head == tail means the
+        // The issued entry was its chain's head, so no successor means the
         // chain just emptied.
-        self.row_tails
-            .remove_if_eq(chain_key(bank_idx, p.coord.row), h);
+        if p.row_next == NIL {
+            let tail = self.row_tails.remove(chain_key(bank_idx, p.coord.row));
+            debug_assert_eq!(tail, Some(h), "chain tail map out of step");
+        }
         if p.prev != NIL {
             self.slab[p.prev as usize].next = p.next;
         } else {
@@ -558,7 +562,7 @@ impl MemoryController {
                 active: Vec::new(),
                 next_issue_at: Cycle::ZERO,
                 banks: vec![Bank::default(); cfg.banks_per_channel()],
-                row_tails: KeyMap::new(),
+                row_tails: U64Map::with_capacity(32),
                 hit_mask: vec![0; cfg.banks_per_channel().div_ceil(64)],
                 pick: None,
             })

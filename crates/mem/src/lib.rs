@@ -34,7 +34,6 @@ pub mod assoc;
 pub mod cache;
 pub mod controller;
 pub mod dram;
-mod keymap;
 
 pub use assoc::{AssocArray, Replacement, SetIndex};
 pub use cache::{Cache, CacheConfig, Mshr, MshrOutcome};

@@ -36,7 +36,6 @@
 #![warn(missing_debug_implementations)]
 
 pub mod frames;
-pub mod openmap;
 pub mod pwc;
 pub mod space;
 pub mod table;

@@ -7,9 +7,8 @@
 //! (`translate_data`) used to turn virtual lane addresses into physical
 //! line addresses once the TLB lookup has (functionally) succeeded.
 
-use std::collections::HashMap;
-
 use ptw_types::addr::{PhysAddr, PhysFrame, VirtAddr, VirtPage, PAGES_PER_LARGE_PAGE, PAGE_SIZE};
+use ptw_types::map::U64Map;
 
 use crate::frames::FrameAllocator;
 use crate::table::PageTable;
@@ -65,7 +64,7 @@ impl Buffer {
 #[derive(Clone, Debug, Default)]
 pub struct LargePagePlan {
     /// Large-region index → base frame of the reserved run.
-    regions: HashMap<u64, PhysFrame>,
+    regions: U64Map<PhysFrame>,
 }
 
 impl LargePagePlan {
@@ -82,7 +81,7 @@ impl LargePagePlan {
 
     /// The reserved run base backing `page`'s region, if promoted.
     pub fn base_of(&self, page: VirtPage) -> Option<PhysFrame> {
-        self.regions.get(&page.large_index()).copied()
+        self.regions.get(page.large_index())
     }
 
     /// Number of promoted regions in the plan.
@@ -163,7 +162,7 @@ impl AddressSpace {
     ///
     /// Panics if physical memory is exhausted.
     pub fn alloc_buffer(&mut self, name: &str, len: u64, alloc: &mut FrameAllocator) -> Buffer {
-        // An empty plan never allocates (HashMap::new is lazy) and takes
+        // An empty plan never allocates (`U64Map::default` is lazy) and takes
         // the exact 4 KiB mapping path below.
         self.alloc_buffer_promoted(name, len, alloc, &LargePagePlan::default())
     }

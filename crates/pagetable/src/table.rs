@@ -12,9 +12,9 @@
 //! level *L* and points to the node (or final frame) of level *L − 1*.
 
 use ptw_types::addr::{PageSize, PhysAddr, PhysFrame, VirtPage, PAGES_PER_LARGE_PAGE};
+use ptw_types::map::U64Map;
 
 use crate::frames::FrameAllocator;
-use crate::openmap::FrameMap;
 
 /// Size of one page-table entry in bytes.
 pub const PTE_BYTES: u64 = 8;
@@ -133,10 +133,10 @@ pub struct PageTable {
     nodes: Vec<Node>,
     /// Root node index (always 0).
     root: usize,
-    mapped: FrameMap,
+    mapped: U64Map<PhysFrame>,
     /// 2 MiB large-page leaves: large-region index → base frame of the
     /// 512-frame contiguous physical run backing the region.
-    large: FrameMap,
+    large: U64Map<PhysFrame>,
 }
 
 impl PageTable {
@@ -146,8 +146,8 @@ impl PageTable {
         PageTable {
             nodes: vec![Node::new(root_frame)],
             root: 0,
-            mapped: FrameMap::new(),
-            large: FrameMap::new(),
+            mapped: U64Map::with_capacity(8),
+            large: U64Map::with_capacity(8),
         }
     }
 
@@ -175,7 +175,7 @@ impl PageTable {
 
     /// Whether `page` is backed by a 2 MiB large-page leaf.
     pub fn is_large(&self, page: VirtPage) -> bool {
-        self.large.contains_key(page.large_index())
+        self.large.get(page.large_index()).is_some()
     }
 
     /// Page size backing `page` (meaningful only for mapped pages;
@@ -200,7 +200,7 @@ impl PageTable {
         frame: PhysFrame,
         alloc: &mut FrameAllocator,
     ) -> Result<(), MapError> {
-        if self.mapped.contains_key(page.raw()) || self.is_large(page) {
+        if self.mapped.get(page.raw()).is_some() || self.is_large(page) {
             return Err(MapError::AlreadyMapped(page));
         }
         let mut node = self.root;
@@ -256,7 +256,7 @@ impl PageTable {
             return Err(MapError::AlreadyMapped(page));
         }
         for i in 0..PAGES_PER_LARGE_PAGE {
-            if self.mapped.contains_key(page.raw() + i) {
+            if self.mapped.get(page.raw() + i).is_some() {
                 return Err(MapError::AlreadyMapped(VirtPage::new(page.raw() + i)));
             }
         }

@@ -21,9 +21,9 @@
 //! flushed whole.
 //!
 //! Everything here is hand-rolled over `std` — the repo builds offline
-//! with zero third-party dependencies, so no serde.
+//! with zero third-party dependencies, so no serde. Lines are read with
+//! `crate::json`, whose integral literals are exact `u64`s.
 
-use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
@@ -34,6 +34,7 @@ use ptw_mem::controller::MemStats;
 use ptw_types::stats::BucketHistogram;
 use ptw_workloads::{BenchmarkId, Scale};
 
+use crate::json::Value;
 use crate::metrics::RunMetrics;
 use crate::runner::ConfigVariant;
 use crate::system::RunResult;
@@ -249,10 +250,10 @@ fn decode_record(line: &str) -> Option<(CellKey, RunResult)> {
 
 /// Reconstructs a [`RunResult`] from the flat fields written by
 /// [`encode_result_fields`]; the inverse half of the shared codec.
-pub(crate) fn decode_result_fields(fields: &HashMap<String, Value>) -> Option<RunResult> {
+pub(crate) fn decode_result_fields(fields: &Value) -> Option<RunResult> {
     let u = |name: &str| -> Option<u64> { fields.get(name)?.as_u64() };
     let f = |name: &str| -> Option<f64> { Some(f64::from_bits(fields.get(name)?.as_u64()?)) };
-    let a = |name: &str| -> Option<Vec<u64>> { fields.get(name)?.as_arr().map(<[u64]>::to_vec) };
+    let a = |name: &str| -> Option<Vec<u64>> { u64s(fields.get(name)?) };
     let work_hist = BucketHistogram::from_parts(
         a("hist_edges")?,
         a("hist_counts")?,
@@ -316,193 +317,26 @@ pub(crate) fn decode_result_fields(fields: &HashMap<String, Value>) -> Option<Ru
     })
 }
 
-/// The only JSON values the checkpoint format (and the worker wire
-/// protocol built on it) uses. Integers are exact `u64` — unlike
-/// `crate::json`, whose `f64` numbers cannot carry the `f64::to_bits`
-/// patterns this codec stores.
-#[derive(Clone, Debug, PartialEq)]
-pub(crate) enum Value {
-    U64(u64),
-    Str(String),
-    Arr(Vec<u64>),
-}
-
-impl Value {
-    pub(crate) fn as_u64(&self) -> Option<u64> {
-        match self {
-            Value::U64(x) => Some(*x),
-            _ => None,
-        }
-    }
-
-    pub(crate) fn as_str(&self) -> Option<&str> {
-        match self {
-            Value::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    pub(crate) fn as_arr(&self) -> Option<&[u64]> {
-        match self {
-            Value::Arr(xs) => Some(xs),
-            _ => None,
-        }
-    }
-}
-
-/// Parses one flat JSON object of the checkpoint subset: string keys
-/// mapping to unsigned integers, strings (standard escapes), or arrays of
-/// unsigned integers. Returns `None` on any deviation — a malformed line
-/// is skipped, not guessed at.
-pub(crate) fn parse_flat_json(line: &str) -> Option<HashMap<String, Value>> {
-    let mut p = Parser {
-        bytes: line.trim().as_bytes(),
-        pos: 0,
+/// Parses one checkpoint or wire line: a JSON object whose members are
+/// all unsigned integers, strings, or arrays of unsigned integers.
+/// Integers decode as exact `u64`s, so `f64::to_bits` patterns survive.
+/// Returns `None` on any deviation — a malformed line is skipped, not
+/// guessed at.
+pub(crate) fn parse_flat_json(line: &str) -> Option<Value> {
+    let flat = |v: &Value| match v {
+        Value::U64(_) | Value::Str(_) => true,
+        Value::Arr(xs) => xs.iter().all(|x| matches!(x, Value::U64(_))),
+        _ => false,
     };
-    let map = p.object()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return None;
+    match Value::parse(line)? {
+        Value::Obj(members) if members.iter().all(|(_, v)| flat(v)) => Some(Value::Obj(members)),
+        _ => None,
     }
-    Some(map)
 }
 
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl Parser<'_> {
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn eat(&mut self, b: u8) -> Option<()> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Some(())
-        } else {
-            None
-        }
-    }
-
-    fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t')) {
-            self.pos += 1;
-        }
-    }
-
-    fn object(&mut self) -> Option<HashMap<String, Value>> {
-        self.skip_ws();
-        self.eat(b'{')?;
-        let mut map = HashMap::new();
-        self.skip_ws();
-        if self.eat(b'}').is_some() {
-            return Some(map);
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.eat(b':')?;
-            self.skip_ws();
-            let value = self.value()?;
-            map.insert(key, value);
-            self.skip_ws();
-            if self.eat(b',').is_some() {
-                continue;
-            }
-            self.eat(b'}')?;
-            return Some(map);
-        }
-    }
-
-    fn value(&mut self) -> Option<Value> {
-        match self.peek()? {
-            b'"' => Some(Value::Str(self.string()?)),
-            b'[' => {
-                self.eat(b'[')?;
-                let mut xs = Vec::new();
-                self.skip_ws();
-                if self.eat(b']').is_some() {
-                    return Some(Value::Arr(xs));
-                }
-                loop {
-                    self.skip_ws();
-                    xs.push(self.number()?);
-                    self.skip_ws();
-                    if self.eat(b',').is_some() {
-                        continue;
-                    }
-                    self.eat(b']')?;
-                    return Some(Value::Arr(xs));
-                }
-            }
-            b'0'..=b'9' => Some(Value::U64(self.number()?)),
-            _ => None,
-        }
-    }
-
-    fn string(&mut self) -> Option<String> {
-        self.eat(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.peek()? {
-                b'"' => {
-                    self.pos += 1;
-                    return Some(out);
-                }
-                b'\\' => {
-                    // The escapes `crate::json::escape` emits: worker error
-                    // messages (panic payloads, watchdog snapshots) contain
-                    // newlines and tabs, so the wire protocol needs more
-                    // than the bare `\"`/`\\` the checkpoint itself writes.
-                    self.pos += 1;
-                    match self.peek()? {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'u' => {
-                            let hex = self.bytes.get(self.pos + 1..self.pos + 5)?;
-                            let code =
-                                u32::from_str_radix(std::str::from_utf8(hex).ok()?, 16).ok()?;
-                            out.push(char::from_u32(code)?);
-                            self.pos += 4;
-                        }
-                        _ => return None,
-                    }
-                    self.pos += 1;
-                }
-                _ => {
-                    // Consume one UTF-8 character whole (the input is a
-                    // &str, so the byte stream is valid UTF-8).
-                    let start = self.pos;
-                    self.pos += 1;
-                    while self.peek().is_some_and(|b| (b & 0xC0) == 0x80) {
-                        self.pos += 1;
-                    }
-                    out.push_str(std::str::from_utf8(&self.bytes[start..self.pos]).ok()?);
-                }
-            }
-        }
-    }
-
-    fn number(&mut self) -> Option<u64> {
-        let start = self.pos;
-        while matches!(self.peek(), Some(b'0'..=b'9')) {
-            self.pos += 1;
-        }
-        if self.pos == start {
-            return None;
-        }
-        std::str::from_utf8(&self.bytes[start..self.pos])
-            .ok()?
-            .parse()
-            .ok()
-    }
+/// The elements of a flat `u64` array member.
+pub(crate) fn u64s(v: &Value) -> Option<Vec<u64>> {
+    v.as_arr()?.iter().map(Value::as_u64).collect()
 }
 
 #[cfg(test)]
@@ -706,11 +540,51 @@ mod tests {
             "{\"a\":[1,]}",
             "not json at all",
         ] {
-            if line == "{}extra" || line.is_empty() {
-                assert!(parse_flat_json(line).is_none(), "{line:?}");
-            } else {
-                assert!(decode_record(line).is_none(), "{line:?}");
-            }
+            assert!(parse_flat_json(line).is_none(), "{line:?}");
+            assert!(decode_record(line).is_none(), "{line:?}");
         }
+        // A valid record with one member outside the flat subset (the only
+        // shapes the checkpoint writes) is rejected whole.
+        let key = (
+            BenchmarkId::Kmn,
+            SchedulerKind::Fcfs,
+            ConfigVariant::Baseline,
+        );
+        let line = encode_record(key, &synthetic_result(&mut SplitMix64::new(3)));
+        assert!(decode_record(&line).is_some());
+        let open = line.strip_suffix('}').expect("an object");
+        for extra in [
+            "true", "null", "-1", "1.5", "1e3", "+1", "{}", "[\"a\"]", "[-1]",
+        ] {
+            let bad = format!("{open},\"x\":{extra}}}");
+            assert!(decode_record(&bad).is_none(), "{bad}");
+        }
+    }
+
+    #[test]
+    fn extreme_bit_patterns_round_trip() {
+        let mut result = synthetic_result(&mut SplitMix64::new(5));
+        result.metrics.interleaved_fraction = f64::NAN;
+        result.metrics.mean_first_latency = -0.0;
+        result.metrics.mean_last_latency = f64::from_bits(1);
+        result.finish_spread = f64::from_bits(u64::MAX);
+        result.events = u64::MAX;
+        let key = (
+            BenchmarkId::Xsb,
+            SchedulerKind::Fcfs,
+            ConfigVariant::Baseline,
+        );
+        let (_, back) = decode_record(&encode_record(key, &result)).expect("roundtrip parse");
+        let bits = |r: &RunResult| {
+            let m = &r.metrics;
+            [
+                m.interleaved_fraction.to_bits(),
+                m.mean_first_latency.to_bits(),
+                m.mean_last_latency.to_bits(),
+                r.finish_spread.to_bits(),
+                r.events,
+            ]
+        };
+        assert_eq!(bits(&back), bits(&result));
     }
 }

@@ -1,14 +1,17 @@
-//! A minimal JSON reader for the throughput-benchmark baseline files.
+//! The crate's one JSON reader.
 //!
-//! The repo builds offline with zero third-party dependencies, so the
-//! `BENCH_*.json` files the `ptw-bench` harness writes are read back with
-//! this hand-rolled parser instead of serde. It covers the JSON the
-//! harness itself emits (objects, arrays, strings, finite numbers, bools,
-//! null) and is deliberately strict about nothing else: unknown shapes
-//! simply return `None` from the typed getters.
+//! The repo builds offline with zero third-party dependencies, so JSON is
+//! read with this hand-rolled parser instead of serde: the `BENCH_*.json`
+//! files the `ptw-bench` harness writes, the sweep checkpoint's lines
+//! (`crate::checkpoint`) and the worker wire protocol (`crate::wire`). It
+//! covers objects, arrays, strings, finite numbers, bools and null, and is
+//! deliberately strict about nothing else: unknown shapes simply return
+//! `None` from the typed getters.
 //!
-//! Numbers are held as `f64`; every count the harness records (events,
-//! milliseconds) is far below 2^53, so the round-trip is exact.
+//! An integral literal without sign, fraction or exponent that fits a
+//! `u64` is held exactly as [`Value::U64`], so the checkpoint's
+//! `f64::to_bits` patterns survive up to `u64::MAX`. Every other number is
+//! an `f64`.
 
 /// A parsed JSON value.
 #[derive(Clone, Debug, PartialEq)]
@@ -17,7 +20,10 @@ pub enum Value {
     Null,
     /// `true` / `false`.
     Bool(bool),
-    /// Any JSON number.
+    /// An unsigned integral literal (no sign, fraction or exponent),
+    /// held exactly.
+    U64(u64),
+    /// Any other JSON number.
     Num(f64),
     /// A string (escapes decoded).
     Str(String),
@@ -49,15 +55,17 @@ impl Value {
     /// The value as a finite number, if it is one.
     pub fn as_f64(&self) -> Option<f64> {
         match self {
+            Value::U64(x) => Some(*x as f64),
             Value::Num(n) => Some(*n),
             _ => None,
         }
     }
 
-    /// The value as a non-negative integer, if it is one exactly.
+    /// The value as an exact `u64`, if it was written as an unsigned
+    /// integral literal.
     pub fn as_u64(&self) -> Option<u64> {
         match self {
-            Value::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= 9.0e15 => Some(*n as u64),
+            Value::U64(x) => Some(*x),
             _ => None,
         }
     }
@@ -169,7 +177,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Option<Value> {
                 }
             }
         }
-        _ => parse_number(b, pos).map(Value::Num),
+        _ => parse_number(b, pos),
     }
 }
 
@@ -218,7 +226,7 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Option<String> {
     }
 }
 
-fn parse_number(b: &[u8], pos: &mut usize) -> Option<f64> {
+fn parse_number(b: &[u8], pos: &mut usize) -> Option<Value> {
     let start = *pos;
     if b.get(*pos) == Some(&b'-') {
         *pos += 1;
@@ -226,8 +234,14 @@ fn parse_number(b: &[u8], pos: &mut usize) -> Option<f64> {
     while *pos < b.len() && matches!(b[*pos], b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-') {
         *pos += 1;
     }
-    let n: f64 = std::str::from_utf8(&b[start..*pos]).ok()?.parse().ok()?;
-    n.is_finite().then_some(n)
+    let text = std::str::from_utf8(&b[start..*pos]).ok()?;
+    if text.bytes().all(|c| c.is_ascii_digit()) {
+        if let Ok(x) = text.parse() {
+            return Some(Value::U64(x));
+        }
+    }
+    let n: f64 = text.parse().ok()?;
+    n.is_finite().then_some(Value::Num(n))
 }
 
 #[cfg(test)]
@@ -239,7 +253,7 @@ mod tests {
         assert_eq!(Value::parse("null"), Some(Value::Null));
         assert_eq!(Value::parse(" true "), Some(Value::Bool(true)));
         assert_eq!(Value::parse("false"), Some(Value::Bool(false)));
-        assert_eq!(Value::parse("42"), Some(Value::Num(42.0)));
+        assert_eq!(Value::parse("42"), Some(Value::U64(42)));
         assert_eq!(Value::parse("-1.5e3"), Some(Value::Num(-1500.0)));
         assert_eq!(
             Value::parse("\"hi\\n\\\"there\\\"\""),
@@ -285,11 +299,37 @@ mod tests {
     }
 
     #[test]
-    fn as_u64_guards_range_and_fraction() {
-        assert_eq!(Value::Num(1.5).as_u64(), None);
-        assert_eq!(Value::Num(-1.0).as_u64(), None);
-        assert_eq!(Value::Num(1.0e18).as_u64(), None);
-        assert_eq!(Value::Num(123.0).as_u64(), Some(123));
-        assert_eq!(Value::Num(123.0).as_f64(), Some(123.0));
+    fn only_unsigned_integral_literals_are_u64() {
+        let num = |text: &str| Value::parse(text).expect(text);
+        assert_eq!(num("123").as_u64(), Some(123));
+        assert_eq!(num("123").as_f64(), Some(123.0));
+        for text in [
+            "1.5",
+            "-1",
+            "-0",
+            "+1",
+            "1e3",
+            "123.0",
+            "18446744073709551616",
+        ] {
+            assert_eq!(num(text).as_u64(), None, "{text}");
+            assert!(num(text).as_f64().is_some(), "{text}");
+        }
+    }
+
+    #[test]
+    fn u64_literals_round_trip_exactly() {
+        let subnormal = f64::from_bits(1);
+        assert!(subnormal.is_subnormal());
+        for bits in [
+            u64::MAX,
+            f64::NAN.to_bits(),
+            (-0.0f64).to_bits(),
+            subnormal.to_bits(),
+        ] {
+            let v = Value::parse(&format!("{{\"x\":[{bits}]}}")).expect("valid");
+            let x = v.get("x").and_then(Value::as_arr).expect("array")[0].as_u64();
+            assert_eq!(x, Some(bits), "{bits:#x}");
+        }
     }
 }

@@ -10,10 +10,11 @@
 //!
 //! # Encoding
 //!
-//! The codec rides on the checkpoint module's exact-`u64` flat-JSON subset
-//! (`crate::checkpoint`) rather than `crate::json`, whose `f64` numbers
-//! cannot carry the `f64::to_bits` patterns a [`RunResult`] needs for
-//! bit-identical transport. Enums travel as their stable labels, bools as
+//! The codec rides on the checkpoint module's flat-JSON subset
+//! (`crate::checkpoint`): one object of unsigned integers, strings and
+//! integer arrays, read by `crate::json` with exact `u64` integers so the
+//! `f64::to_bits` patterns a [`RunResult`] needs for bit-identical
+//! transport survive. Enums travel as their stable labels, bools as
 //! `0`/`1`, and the optional shard-map VA ranges as three parallel `u64`
 //! arrays. The whole [`SystemConfig`] is flattened with prefixed keys
 //! (`gpu_`, `io_`, `dram_`, …) so *any* spec round-trips — including the
@@ -35,7 +36,7 @@ use ptw_mem::controller::MemSchedPolicy;
 use ptw_tlb::TlbConfig;
 use ptw_workloads::{BenchmarkId, Scale};
 
-use crate::checkpoint::{decode_result_fields, encode_result_fields, parse_flat_json};
+use crate::checkpoint::{decode_result_fields, encode_result_fields, parse_flat_json, u64s};
 use crate::config::{FaultKind, ShardMap, SystemConfig, VaRange};
 use crate::error::{RunError, SimError};
 use crate::json::escape;
@@ -278,18 +279,18 @@ pub fn decode_spec(line: &str) -> Option<RunSpec> {
     config.topology.shard_map = match s("topo_map")? {
         "interleave" => ShardMap::Interleave,
         "ranges" => {
-            let starts = fields.get("topo_range_starts")?.as_arr()?;
-            let ends = fields.get("topo_range_ends")?.as_arr()?;
-            let iommus = fields.get("topo_range_iommus")?.as_arr()?;
+            let starts = u64s(fields.get("topo_range_starts")?)?;
+            let ends = u64s(fields.get("topo_range_ends")?)?;
+            let iommus = u64s(fields.get("topo_range_iommus")?)?;
             if starts.len() != ends.len() || starts.len() != iommus.len() {
                 return None;
             }
             ShardMap::VaRanges(
                 starts
-                    .iter()
+                    .into_iter()
                     .zip(ends)
                     .zip(iommus)
-                    .map(|((&start_page, &end_page), &iommu)| {
+                    .map(|((start_page, end_page), iommu)| {
                         Some(VaRange {
                             start_page,
                             end_page,

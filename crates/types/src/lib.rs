@@ -4,6 +4,9 @@
 //! every other crate speaks:
 //!
 //! * [`addr`] — virtual/physical addresses, page and cache-line geometry;
+//! * [`map`] — [`map::U64Map`], the open-addressed `u64 → V` map behind
+//!   the page table, the IOMMU candidate index, the MSHR and the DRAM
+//!   controller;
 //! * [`ids`] — newtyped identifiers for compute units, wavefronts, SIMD
 //!   instructions, lanes and page-table walkers;
 //! * [`time`] — the [`time::Cycle`] timestamp used by the
@@ -31,6 +34,7 @@
 
 pub mod addr;
 pub mod ids;
+pub mod map;
 pub mod rng;
 pub mod stats;
 pub mod time;

@@ -107,23 +107,13 @@ if [[ -z "$min_iommu" || "$min_iommu" -eq 0 ]]; then
 fi
 echo "$topo_line"
 
-echo "== ptw-mem unit tests (packed AssocArray, DRAM pick, MSHR and key-map oracles)"
-# The packed LineBlock layout (DESIGN.md §14) must match the pre-packing
-# split-SoA implementation bit for bit, the DRAM controller's carried pick
-# and row-hit mask must match fresh selections and the verbatim scan
-# (§13), and the keyed MSHR must match a linear-scan reference (§10).
-# These randomized oracles live in ptw-mem's unit tests, which tier-1
-# (root integration tests only) does not run — so CI runs them all.
-cargo test -q -p ptw-mem
-
-echo "== ptw-core unit tests (candidate index, scheduler, IOMMU)"
-# The candidate index's PageMap oracle and the scheduler and IOMMU unit
-# tests live in ptw-core, which tier-1 does not run either.
-cargo test -q -p ptw-core
-
-echo "== ptw-sim unit tests (config, supervisor, wire, checkpoint, system)"
-# Tier-1 does not run these either. The fused-event and DRAM-oracle
-# differentials run in tier-1 (tests/batched_dispatch_oracle.rs).
-cargo test -q -p ptw-sim
+echo "== workspace unit tests (every crate's lib tests)"
+# Tier-1 runs only the root package's integration tests. The randomized
+# oracles live in the crates' unit tests: the shared U64Map against a std
+# HashMap (ptw-types), the packed AssocArray, DRAM pick and keyed MSHR
+# (ptw-mem, DESIGN.md §10/§13/§14), the candidate index, scheduler and
+# IOMMU (ptw-core), the config, supervisor, wire and checkpoint codecs
+# (ptw-sim), and the page-table, TLB, GPU and workload unit tests.
+cargo test -q --workspace --lib
 
 echo "CI OK"

@@ -28,7 +28,7 @@ while [[ $# -gt 0 ]]; do
   esac
 done
 
-cargo build --release -p ptw-bench 2>&1 | tail -1
+cargo build --release -p ptw-sim --bin ptw-bench 2>&1 | tail -1
 bench=(./target/release/ptw-bench --scale "$scale" --policies "$policies"
        --reps 1 --jobs 1)
 [[ ${#extra[@]} -gt 0 ]] && bench+=("${extra[@]}")
