@@ -828,10 +828,15 @@ impl<W> Iommu<W> {
             self.inflight_pages.swap_remove(i);
         }
 
-        self.stats.total_walk_latency += now - request.enqueued_at;
+        // A walk started on arrival outruns its own request's modelled
+        // enqueue time (arrival + both TLB lookups) when the PWC and DRAM
+        // are faster than the lookups; like a young piggybacked entry
+        // below, the request then completes as soon as it is enqueued.
+        let done_at = now.max(request.enqueued_at);
+        self.stats.total_walk_latency += done_at - request.enqueued_at;
         self.stats.completed_requests += 1;
         if large {
-            self.stats.large_total_walk_latency += now - request.enqueued_at;
+            self.stats.large_total_walk_latency += done_at - request.enqueued_at;
             self.stats.large_completed_requests += 1;
         }
         completions.push(CompletedTranslation {
@@ -839,7 +844,7 @@ impl<W> Iommu<W> {
             frame,
             instr: request.instr,
             enqueued_at: request.enqueued_at,
-            completed_at: now,
+            completed_at: done_at,
             via_walk: true,
             walk_accesses: plan.accesses(),
             service_seq,
@@ -965,6 +970,25 @@ mod tests {
             }
             other => panic!("expected hit, got {other:?}"),
         }
+    }
+
+    /// A walk started on arrival can finish before its own request's
+    /// modelled enqueue time (arrival + both TLB lookups) when the PWC
+    /// and memory are faster than the lookups. It then completes at that
+    /// enqueue time, with zero walk latency, instead of underflowing.
+    #[test]
+    fn walk_faster_than_the_tlb_lookups_completes_at_enqueue() {
+        let mut cfg = IommuConfig::paper_baseline();
+        cfg.tlb_cycles = 50;
+        cfg.pwc_cycles = 0;
+        let mut f = fixture(cfg);
+        let page = map(&mut f, 0x7000);
+        f.iommu.translate(page, InstrId::new(1), 7, Cycle::ZERO);
+        let reads = f.iommu.start_walkers(&f.table, Cycle::ZERO);
+        let (done, t) = run_walk(&mut f, reads[0], 10);
+        assert!(t < Cycle::new(100), "walk finished at {t}");
+        assert_eq!(done[0].completed_at, Cycle::new(100));
+        assert_eq!(f.iommu.stats().total_walk_latency, 0);
     }
 
     #[test]

@@ -43,6 +43,10 @@ use core::fmt;
 use core::marker::PhantomData;
 use core::mem::MaybeUninit;
 
+/// Largest way count an [`AssocArray`] supports: validity is one `u64`
+/// bitmask per set.
+pub const MAX_WAYS: usize = 64;
+
 /// Replacement policy for an [`AssocArray`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum Replacement {
@@ -188,7 +192,7 @@ impl<K: Eq + Copy, V: Copy> AssocArray<K, V> {
             "AssocArray dimensions must be positive"
         );
         assert!(
-            ways <= 64,
+            ways <= MAX_WAYS,
             "AssocArray supports at most 64 ways (per-set valid bitmask)"
         );
         if policy == Replacement::TreePlru {

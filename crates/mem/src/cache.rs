@@ -22,7 +22,7 @@ use ptw_types::addr::{LineAddr, LINE_SHIFT, LINE_SIZE};
 use ptw_types::map::U64Map;
 use ptw_types::stats::HitRate;
 
-use crate::assoc::{AssocArray, Replacement, SetIndex};
+use crate::assoc::{AssocArray, Replacement, SetIndex, MAX_WAYS};
 
 /// Geometry of one cache.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -58,7 +58,8 @@ impl CacheConfig {
     /// Returns a description of the violated constraint.
     pub fn validate(&self) -> Result<(), String> {
         let lines = self.size_bytes / LINE_SIZE;
-        if self.ways == 0 || self.ways > 64 || lines == 0 || !lines.is_multiple_of(self.ways) {
+        if self.ways == 0 || self.ways > MAX_WAYS || lines == 0 || !lines.is_multiple_of(self.ways)
+        {
             return Err(format!(
                 "cache of {} bytes does not divide into 1..=64 ways ({}) of 64B lines",
                 self.size_bytes, self.ways

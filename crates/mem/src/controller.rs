@@ -27,12 +27,10 @@
 //! scan instead, whose search for a younger gate-ready row hit reads a
 //! per-channel bitset of banks with a cached hit rather than the rest of
 //! the queue. Each channel carries its next pick (time and request), kept
-//! exact in O(1) by `submit`, so an issue costs one selection. The
-//! pre-index two-phase scan over the arrival list is kept verbatim as
-//! `next_issue_legacy`, the differential oracle;
-//! [`force_oracle`](MemoryController::force_oracle) routes all scheduling
-//! through it so end-to-end equality can be asserted in tests.
-//! DESIGN.md §13 states the invariants and the equivalence argument.
+//! exact in O(1) by `submit`, so an issue costs one selection. The unit
+//! tests keep the pre-index two-phase scan over the arrival list as the
+//! reference every pick is checked against. DESIGN.md §13 states the
+//! invariants and the equivalence argument.
 //!
 //! # Driving the controller
 //!
@@ -375,18 +373,19 @@ fn fcfs_pick(ch: &Channel) -> Option<(Cycle, u32)> {
 enum ScanHead {
     /// The first gate-ready request is a row hit: the pick, at the gate.
     GatedHit(u32),
-    /// The first gate-ready request is no row hit; `rest` follows it in
-    /// arrival order. Phase 2 looks for a younger gate-ready row hit.
-    Gated { first: u32, rest: u32 },
+    /// The first gate-ready request is no row hit. Phase 2 looks for a
+    /// younger gate-ready row hit.
+    Gated { first: u32 },
     /// No request is ready by the gate: the pick at the earliest ready
     /// time (`None` for an empty queue).
     Ungated(Option<(Cycle, u32)>),
 }
 
 /// Phase 1 of the FR-FCFS arrival-order scan, shared verbatim by the
-/// legacy oracle and the production scan: walk the arrival list until the
-/// first request ready by the bus gate. Until then the earliest-ready
-/// request(s) set the candidate time, row hits breaking `t_p` ties.
+/// production scan and the unit tests' legacy scan: walk the arrival list
+/// until the first request ready by the bus gate. Until then the
+/// earliest-ready request(s) set the candidate time, row hits breaking
+/// `t_p` ties.
 fn scan_phase1(ch: &Channel) -> ScanHead {
     let gate = ch.next_issue_at;
     let mut h = ch.head;
@@ -402,10 +401,7 @@ fn scan_phase1(ch: &Channel) -> ScanHead {
             if hit {
                 return ScanHead::GatedHit(h);
             }
-            return ScanHead::Gated {
-                first: h,
-                rest: p.next,
-            };
+            return ScanHead::Gated { first: h };
         }
         match min_t {
             None => {
@@ -532,9 +528,6 @@ pub struct MemoryController {
     inflight: BinaryHeap<Reverse<InFlight>>,
     next_id: u64,
     stats: MemStats,
-    /// Route scheduling through the legacy arrival-order scan instead of
-    /// the per-bank index (set by tests through `force_oracle`).
-    use_oracle: bool,
     /// Last cycle at which the queue-depth/bank-occupancy integrals were
     /// brought up to date.
     last_obs: Cycle,
@@ -574,7 +567,6 @@ impl MemoryController {
             inflight: BinaryHeap::new(),
             next_id: 0,
             stats: MemStats::default(),
-            use_oracle: false,
             last_obs: Cycle::ZERO,
             queued_total: 0,
             busy_banks_total: 0,
@@ -596,19 +588,11 @@ impl MemoryController {
         self.channels.iter().map(|c| c.len as usize).sum::<usize>() + self.inflight.len()
     }
 
-    /// Forces scheduling through the legacy scan (`true`) or the per-bank
-    /// index (`false`, the default). Differential-test hook; not part of
-    /// the stable API.
-    #[doc(hidden)]
-    pub fn force_oracle(&mut self, on: bool) {
-        self.use_oracle = on;
-    }
-
     /// Brings the queue-depth and bank-occupancy time integrals up to
     /// `now`. Called at every externally observed time (`submit` /
     /// `advance_into`), so the integrals are a pure function of the
-    /// submit/advance call sequence — identical across the batched and
-    /// unbatched event loops and across thread/process sweep paths.
+    /// submit/advance call sequence — identical across event-loop
+    /// dispatch orders and across thread/process sweep paths.
     fn observe(&mut self, now: Cycle) {
         if now > self.last_obs {
             let dt = now - self.last_obs;
@@ -661,11 +645,6 @@ impl MemoryController {
         self.queued_total += 1;
         self.stats.peak_queue_depth = self.stats.peak_queue_depth.max(ch.len);
         self.stats.peak_busy_banks = self.stats.peak_busy_banks.max(ch.active.len() as u64);
-        if self.use_oracle {
-            // The oracle re-derives every pick from the verbatim scan.
-            self.channels[coord.channel].pick = self.select(coord.channel);
-            return id;
-        }
         let bank = &ch.banks[coord.bank];
         let x = bank.ready_at.max(now).max(ch.next_issue_at);
         let is_hit = |q: u32| {
@@ -687,11 +666,12 @@ impl MemoryController {
     /// slab handle it would pick then, or `None` if nothing is queued —
     /// computed from the per-bank index in O(active banks).
     ///
-    /// Equivalence with [`next_issue_legacy`](Self::next_issue_legacy)
-    /// rests on arrival times being non-decreasing along each bank FIFO
-    /// (they are enqueued in arrival order), which pins every per-bank
-    /// minimum to the FIFO head and every per-bank oldest row hit to the
-    /// cached `hit` entry; see DESIGN.md §13 for the case analysis.
+    /// Equivalence with the legacy whole-queue scan (the unit tests'
+    /// `next_issue_legacy`) rests on arrival times being non-decreasing
+    /// along each bank FIFO (they are enqueued in arrival order), which
+    /// pins every per-bank minimum to the FIFO head and every per-bank
+    /// oldest row hit to the cached `hit` entry; see DESIGN.md §13 for the
+    /// case analysis.
     fn next_issue(&self, channel: usize) -> Option<(Cycle, u32)> {
         let ch = &self.channels[channel];
         match self.policy {
@@ -779,41 +759,6 @@ impl MemoryController {
         }
     }
 
-    /// The pre-index whole-queue scan, kept verbatim as the differential
-    /// oracle: one pass over the channel's arrival list that fuses ready
-    /// time and pick. Writing `t_p` for a request's own ready time
-    /// (`max(bank ready, arrival)`), the issue time is
-    /// `max(min t_p, next_issue_at)` and the pick at that time is the
-    /// oldest row hit among eligible requests, else the oldest eligible —
-    /// exactly FR-FCFS (or the queue head under strict FCFS).
-    fn next_issue_legacy(&self, channel: usize) -> Option<(Cycle, u32)> {
-        let ch = &self.channels[channel];
-        match self.policy {
-            MemSchedPolicy::Fcfs => fcfs_pick(ch),
-            MemSchedPolicy::FrFcfs => match scan_phase1(ch) {
-                ScanHead::GatedHit(h) => Some((ch.next_issue_at, h)),
-                // Phase 2: a gated request exists, so the issue happens at
-                // `gate` and only an *earlier-in-queue-order* gated row hit
-                // could displace it — min tracking is dead weight from here
-                // on. Scan the remainder for the first gated hit alone.
-                ScanHead::Gated { first, rest } => {
-                    let gate = ch.next_issue_at;
-                    let mut j = rest;
-                    while j != NIL {
-                        let q = &ch.slab[j as usize];
-                        let bank = &ch.banks[q.coord.bank];
-                        if bank.open_row == q.coord.row && bank.ready_at.max(q.arrived) <= gate {
-                            return Some((gate, j));
-                        }
-                        j = q.next;
-                    }
-                    Some((gate, first))
-                }
-                ScanHead::Ungated(pick) => pick,
-            },
-        }
-    }
-
     /// The production arrival-order scan: the legacy scan's phase 1, then
     /// phase 2 answered from the row-hit bank mask instead of the rest of
     /// the queue. Phase 1 stopped at the first gate-ready request, which is
@@ -829,7 +774,7 @@ impl MemoryController {
             MemSchedPolicy::Fcfs => fcfs_pick(ch),
             MemSchedPolicy::FrFcfs => match scan_phase1(ch) {
                 ScanHead::GatedHit(h) => Some((ch.next_issue_at, h)),
-                ScanHead::Gated { first, .. } => {
+                ScanHead::Gated { first } => {
                     let gate = ch.next_issue_at;
                     let mut best: (u64, u32) = (u64::MAX, first);
                     for (w, &word) in ch.hit_mask.iter().enumerate() {
@@ -852,10 +797,9 @@ impl MemoryController {
         }
     }
 
-    /// The active scheduling function: the per-bank index or the arrival
-    /// scan, or the legacy scan when the oracle switch is on.
+    /// The scheduling function: the per-bank index or the arrival scan.
     ///
-    /// All three pick functions are bit-for-bit identical (§13), so this is
+    /// Both pick functions are bit-for-bit identical (§13), so this is
     /// free to route on expected cost alone: when per-bank depth is ≈ 1
     /// (queue barely longer than the active-bank list), the arrival-order
     /// scan wins — its phase 1 exits at the first gate-ready request,
@@ -863,31 +807,12 @@ impl MemoryController {
     /// reduction only pays off when queues are deep enough that active
     /// banks ≪ queued requests.
     fn select(&self, channel: usize) -> Option<(Cycle, u32)> {
-        if self.use_oracle {
-            return self.next_issue_legacy(channel);
-        }
         let ch = &self.channels[channel];
         if (ch.len as usize) < ch.active.len() * 2 {
             self.next_issue_scan(channel)
         } else {
             self.next_issue(channel)
         }
-    }
-
-    /// Indexed pick for `channel` as `(issue time, request id)`.
-    /// Differential-test hook; not part of the stable API.
-    #[doc(hidden)]
-    pub fn debug_next_issue(&self, channel: usize) -> Option<(Cycle, MemReqId)> {
-        self.next_issue(channel)
-            .map(|(t, h)| (t, self.channels[channel].slab[h as usize].id))
-    }
-
-    /// Legacy-scan pick for `channel` as `(issue time, request id)`.
-    /// Differential-test hook; not part of the stable API.
-    #[doc(hidden)]
-    pub fn debug_oracle_next_issue(&self, channel: usize) -> Option<(Cycle, MemReqId)> {
-        self.next_issue_legacy(channel)
-            .map(|(t, h)| (t, self.channels[channel].slab[h as usize].id))
     }
 
     /// Issues every command schedulable at or before `now` and appends all
@@ -1003,6 +928,42 @@ mod tests {
     }
 
     impl MemoryController {
+        /// The pre-index whole-queue scan, kept verbatim as the reference
+        /// pick: one pass over the channel's arrival list that fuses ready
+        /// time and pick. Writing `t_p` for a request's own ready time
+        /// (`max(bank ready, arrival)`), the issue time is
+        /// `max(min t_p, next_issue_at)` and the pick at that time is the
+        /// oldest row hit among eligible requests, else the oldest eligible —
+        /// exactly FR-FCFS (or the queue head under strict FCFS).
+        fn next_issue_legacy(&self, channel: usize) -> Option<(Cycle, u32)> {
+            let ch = &self.channels[channel];
+            match self.policy {
+                MemSchedPolicy::Fcfs => fcfs_pick(ch),
+                MemSchedPolicy::FrFcfs => match scan_phase1(ch) {
+                    ScanHead::GatedHit(h) => Some((ch.next_issue_at, h)),
+                    // Phase 2: a gated request exists, so the issue happens at
+                    // `gate` and only an *earlier-in-queue-order* gated row hit
+                    // could displace it — min tracking is dead weight from here
+                    // on. Scan the remainder for the first gated hit alone.
+                    ScanHead::Gated { first } => {
+                        let gate = ch.next_issue_at;
+                        let mut j = ch.slab[first as usize].next;
+                        while j != NIL {
+                            let q = &ch.slab[j as usize];
+                            let bank = &ch.banks[q.coord.bank];
+                            if bank.open_row == q.coord.row && bank.ready_at.max(q.arrived) <= gate
+                            {
+                                return Some((gate, j));
+                            }
+                            j = q.next;
+                        }
+                        Some((gate, first))
+                    }
+                    ScanHead::Ungated(pick) => pick,
+                },
+            }
+        }
+
         /// `next_event_time` recomputed from fresh selections instead of
         /// the carried picks: the ground truth the carried picks must match.
         fn rescanned_next_event_time(&self) -> Option<Cycle> {
@@ -1024,7 +985,8 @@ mod tests {
         fn check_index_invariants(&self) {
             for ch in &self.channels {
                 // Arrival list: well-linked, ids strictly increasing.
-                let mut seen = Vec::new();
+                let mut seen = vec![false; ch.slab.len()];
+                let mut queued = 0usize;
                 let mut h = ch.head;
                 let mut prev = NIL;
                 while h != NIL {
@@ -1036,12 +998,13 @@ mod tests {
                             "arrival list out of id order"
                         );
                     }
-                    seen.push(h);
+                    seen[h as usize] = true;
+                    queued += 1;
                     prev = h;
                     h = p.next;
                 }
                 assert_eq!(ch.tail, prev, "arrival tail stale");
-                assert_eq!(ch.len as usize, seen.len(), "len out of sync");
+                assert_eq!(ch.len as usize, queued, "len out of sync");
                 // Bank FIFOs: partition of the arrival list, per-bank
                 // arrival order, correct head/tail/hit/active bookkeeping.
                 let mut in_banks = 0usize;
@@ -1053,7 +1016,7 @@ mod tests {
                         let p = &ch.slab[h as usize];
                         assert_eq!(p.coord.bank, b, "entry in wrong bank FIFO");
                         assert_eq!(p.bank_prev, prev, "bank back-link broken");
-                        assert!(seen.contains(&h), "bank entry not in arrival list");
+                        assert!(seen[h as usize], "bank entry not in arrival list");
                         if prev != NIL {
                             assert!(
                                 ch.slab[prev as usize].id < p.id,
@@ -1095,7 +1058,7 @@ mod tests {
                         );
                     }
                 }
-                assert_eq!(in_banks, seen.len(), "bank FIFOs don't partition queue");
+                assert_eq!(in_banks, queued, "bank FIFOs don't partition queue");
                 // (bank, row) chains: `row_next` threads same-row entries
                 // in arrival order, and the tail map holds exactly the
                 // live chains, each pointing at its youngest member.
@@ -1167,154 +1130,224 @@ mod tests {
         }
     }
 
-    /// The per-bank indexed pick must equal the legacy whole-queue scan
-    /// after every operation of a random submit/advance stream, and the
-    /// index structure must stay internally consistent. Addresses are drawn
-    /// from a small bank × row set so same-cycle ties, row hits, and
-    /// bus-gate displacement all occur.
-    #[test]
-    fn indexed_pick_matches_legacy_scan() {
-        for policy in [MemSchedPolicy::FrFcfs, MemSchedPolicy::Fcfs] {
-            let mut c = ctrl(policy);
-            let cfg = c.config().clone();
-            let row_stride = cfg.row_bytes * cfg.channels as u64 * cfg.banks_per_channel() as u64;
-            let mut rng = SplitMix64::new(0xBA2C5);
-            let mut now = Cycle::ZERO;
-            let mut out = Vec::new();
-            for op in 0..4_000u32 {
-                if rng.next_below(5) < 3 {
-                    // Few banks, few rows: dense collisions.
-                    let bank_line = rng.next_below(6) * 64;
-                    let row = rng.next_below(3);
-                    let line = LineAddr::new(row * row_stride + bank_line);
-                    c.submit(line, MemSource::Data, now);
-                } else if let Some(t) = c.next_event_time() {
-                    // Sometimes overshoot so several issues drain at once.
-                    now = t.max(now) + rng.next_below(3);
-                    c.advance_into(now, &mut out);
-                    out.clear();
+    /// Paper-baseline address of `(channel, bank, row)`: lines alternate
+    /// channels, banks stride by 128 bytes, rows by the whole bank set.
+    fn line_for(cfg: &DramConfig, channel: u64, bank: u64, row: u64) -> LineAddr {
+        let row_stride = cfg.row_bytes * cfg.channels as u64 * cfg.banks_per_channel() as u64;
+        LineAddr::new(row * row_stride + bank * 128 + channel * 64)
+    }
+
+    /// The shape of one seeded submit/advance stream.
+    #[derive(Clone, Copy, Debug)]
+    enum Stream {
+        /// One submit (weight `submit_w` out of 8, over `banks` × `rows`
+        /// of both channels, now and then after the clock ran ahead of
+        /// the last advance) or one advance to the next event, sometimes
+        /// overshooting so several issues drain at once.
+        Mixed {
+            submit_w: u64,
+            banks: u64,
+            rows: u64,
+        },
+        /// Half bursts of 1–4 same-cycle submits from mixed sources over
+        /// 6 banks × 3 rows of both channels, three in ten advances of a
+        /// few cycles (which usually stop between an issue and its
+        /// completion, so later submits queue behind the bus gate), two in
+        /// ten advances to the next event.
+        Churn,
+    }
+
+    #[derive(Debug, Default)]
+    struct Coverage {
+        carried_issues: u64,
+        shallow_states: u64,
+        deep_states: u64,
+        masked_phase2_hits: u64,
+        displaced_earlier: u64,
+        displaced_row_hit: u64,
+        burst_submits: u64,
+        behind_gate_submits: u64,
+    }
+
+    /// Submits `line`, counting how it moved its channel's carried pick.
+    fn submit_counting(
+        c: &mut MemoryController,
+        line: LineAddr,
+        source: MemSource,
+        now: Cycle,
+        cov: &mut Coverage,
+    ) {
+        let channel = map_address(&c.cfg, line).channel;
+        let before = c.channels[channel].pick;
+        if c.channels[channel].next_issue_at > now {
+            cov.behind_gate_submits += 1;
+        }
+        let id = c.submit(line, source, now);
+        let ch = &c.channels[channel];
+        if let (Some((t0, _)), Some((t1, h1))) = (before, ch.pick) {
+            if ch.slab[h1 as usize].id == id {
+                if t1 < t0 {
+                    cov.displaced_earlier += 1;
+                } else {
+                    cov.displaced_row_hit += 1;
                 }
-                for channel in 0..cfg.channels {
-                    assert_eq!(
-                        c.debug_next_issue(channel),
-                        c.debug_oracle_next_issue(channel),
-                        "{policy:?} pick diverged at op {op} channel {channel}"
-                    );
-                }
-                c.check_index_invariants();
             }
         }
     }
 
+    /// Advances to `now`, counting the carried picks that fell due.
+    fn advance_counting(c: &mut MemoryController, now: Cycle, cov: &mut Coverage) {
+        cov.carried_issues += c
+            .channels
+            .iter()
+            .filter(|ch| ch.pick.is_some_and(|(t, _)| t <= now))
+            .count() as u64;
+        c.advance_into(now, &mut Vec::new());
+    }
+
+    /// Every channel's carried `(time, handle)` against a fresh `select`,
+    /// the verbatim scan, the per-bank reduction and the production
+    /// arrival scan on the same state, plus the hit mask bits.
+    fn check_picks(c: &MemoryController, policy: MemSchedPolicy, at: &str, cov: &mut Coverage) {
+        for channel in 0..c.cfg.channels {
+            let carried = c.channels[channel].pick;
+            let at = format!("{at} channel {channel}");
+            assert_eq!(carried, c.select(channel), "select: {at}");
+            assert_eq!(carried, c.next_issue_legacy(channel), "legacy: {at}");
+            assert_eq!(carried, c.next_issue(channel), "per-bank: {at}");
+            assert_eq!(carried, c.next_issue_scan(channel), "scan: {at}");
+            let ch = &c.channels[channel];
+            for (b, bank) in ch.banks.iter().enumerate() {
+                let bit = ch.hit_mask[b / 64] >> (b % 64) & 1 == 1;
+                assert_eq!(bit, bank.hit != NIL, "mask bank {b}: {at}");
+            }
+            let routed = (ch.len as usize) < ch.active.len() * 2;
+            if routed {
+                cov.shallow_states += 1;
+            } else {
+                cov.deep_states += 1;
+            }
+            if let ScanHead::Gated { first } = scan_phase1(ch) {
+                if policy == MemSchedPolicy::FrFcfs
+                    && routed
+                    && carried.is_some_and(|(_, h)| h != first)
+                {
+                    cov.masked_phase2_hits += 1;
+                }
+            }
+        }
+        assert_eq!(c.next_event_time(), c.rescanned_next_event_time(), "{at}");
+    }
+
     /// The carried pick, the row-hit mask and the masked phase 2 against
     /// fresh selections. Seeded submit/advance streams run under both
-    /// policies, with shallow and deep queues and high and low row
-    /// locality. After every call, each channel's carried `(time, handle)`
-    /// must equal a fresh `select`, the verbatim scan, the per-bank
-    /// reduction and the production arrival scan, and the index
-    /// invariants (hit mask included) must hold. Some submits arrive
-    /// late, after picks already fell due, as a caller that submits
-    /// before advancing would. Coverage floors make sure
-    /// the stream exercised carried issues, masked phase-2 row-hit picks
-    /// and both submit displacement rules.
+    /// policies: mixed streams with shallow and deep queues and high and
+    /// low row locality, and churn streams of same-cycle bursts under two
+    /// seeds. After every call, each channel's carried pick must equal
+    /// every selection function on the same state, which by induction
+    /// makes the controller's issue order, completions and statistics
+    /// those of the legacy scan. The index invariants (hit mask included)
+    /// are checked after every churn operation and every 64th mixed one,
+    /// and the churn streams drain to completion.
+    /// Coverage floors make sure the streams exercised carried issues,
+    /// masked phase-2 row-hit picks, both submit displacement rules,
+    /// same-cycle bursts and submits behind the bus gate.
     #[test]
     fn carried_pick_and_hit_mask_match_fresh_selection() {
-        #[derive(Debug, Default)]
-        struct Coverage {
-            carried_issues: u64,
-            shallow_states: u64,
-            deep_states: u64,
-            masked_phase2_hits: u64,
-            displaced_earlier: u64,
-            displaced_row_hit: u64,
-        }
         let mut cov = Coverage::default();
         let cfg = DramConfig::paper_baseline();
-        let row_stride = cfg.row_bytes * cfg.channels as u64 * cfg.banks_per_channel() as u64;
+        let mixed = [(6, 32, 2), (6, 8, 1024), (3, 32, 2), (3, 6, 3), (7, 4, 2)].map(
+            |(submit_w, banks, rows)| Stream::Mixed {
+                submit_w,
+                banks,
+                rows,
+            },
+        );
         for policy in [MemSchedPolicy::FrFcfs, MemSchedPolicy::Fcfs] {
-            // (submit weight out of 8, banks drawn from, rows drawn from)
-            for (seed, (submit_w, banks, rows)) in
-                [(6, 32, 2), (6, 8, 1024), (3, 32, 2), (3, 6, 3), (7, 4, 2)]
-                    .into_iter()
-                    .enumerate()
-            {
+            let streams = mixed
+                .iter()
+                .enumerate()
+                .map(|(i, &s)| (0x0CA4_41ED + i as u64, s))
+                .chain([(0x5eed_0002, Stream::Churn), (0xdead_f00d, Stream::Churn)]);
+            for (seed, stream) in streams {
                 let mut c = MemoryController::new(cfg.clone(), policy);
-                let mut rng = SplitMix64::new(0x0CA4_41ED + seed as u64);
+                let mut rng = SplitMix64::new(seed);
                 let mut now = Cycle::ZERO;
-                let mut out = Vec::new();
                 for op in 0..3_000u32 {
-                    if rng.next_below(8) < submit_w {
-                        // Now and then the clock runs ahead of the last
-                        // advance, so a request can arrive after the bus
-                        // gate while older requests are already due.
-                        if rng.next_below(32) == 0 {
-                            now += rng.next_below(200);
+                    match stream {
+                        Stream::Mixed {
+                            submit_w,
+                            banks,
+                            rows,
+                        } => {
+                            if rng.next_below(8) < submit_w {
+                                if rng.next_below(32) == 0 {
+                                    now += rng.next_below(200);
+                                }
+                                let row = rng.next_below(rows);
+                                let bank = rng.next_below(banks);
+                                let line = line_for(&cfg, rng.next_below(2), bank, row);
+                                submit_counting(&mut c, line, MemSource::Data, now, &mut cov);
+                            } else {
+                                if let Some(t) = c.next_event_time() {
+                                    now = t.max(now) + rng.next_below(3);
+                                }
+                                advance_counting(&mut c, now, &mut cov);
+                            }
                         }
-                        let line = LineAddr::new(
-                            rng.next_below(rows) * row_stride
-                                + rng.next_below(banks) * 128
-                                + rng.next_below(2) * 64,
-                        );
-                        let channel = map_address(&cfg, line).channel;
-                        let before = c.channels[channel].pick;
-                        let id = c.submit(line, MemSource::Data, now);
-                        let ch = &c.channels[channel];
-                        if let (Some((t0, _)), Some((t1, h1))) = (before, ch.pick) {
-                            if ch.slab[h1 as usize].id == id {
-                                if t1 < t0 {
-                                    cov.displaced_earlier += 1;
-                                } else {
-                                    cov.displaced_row_hit += 1;
+                        Stream::Churn => match rng.next_below(10) {
+                            0..=4 => {
+                                let burst = 1 + rng.next_below(4);
+                                for _ in 0..burst {
+                                    let channel = rng.next_below(cfg.channels as u64);
+                                    let line = line_for(
+                                        &cfg,
+                                        channel,
+                                        rng.next_below(6),
+                                        rng.next_below(3),
+                                    );
+                                    let source = if rng.next_below(2) == 0 {
+                                        MemSource::Data
+                                    } else {
+                                        MemSource::PageWalk
+                                    };
+                                    submit_counting(&mut c, line, source, now, &mut cov);
+                                }
+                                if burst > 1 {
+                                    cov.burst_submits += burst;
                                 }
                             }
-                        }
-                    } else {
-                        if let Some(t) = c.next_event_time() {
-                            // Sometimes overshoot so several issues drain
-                            // at once.
-                            now = t.max(now) + rng.next_below(3);
-                        }
-                        cov.carried_issues += c
-                            .channels
-                            .iter()
-                            .filter(|ch| ch.pick.is_some_and(|(t, _)| t <= now))
-                            .count() as u64;
-                        c.advance_into(now, &mut out);
-                        out.clear();
-                    }
-                    for channel in 0..cfg.channels {
-                        let carried = c.channels[channel].pick;
-                        let at = format!("{policy:?} stream {seed} op {op} channel {channel}");
-                        assert_eq!(carried, c.select(channel), "select: {at}");
-                        assert_eq!(carried, c.next_issue_legacy(channel), "legacy: {at}");
-                        assert_eq!(carried, c.next_issue(channel), "per-bank: {at}");
-                        assert_eq!(carried, c.next_issue_scan(channel), "scan: {at}");
-                        let ch = &c.channels[channel];
-                        for (b, bank) in ch.banks.iter().enumerate() {
-                            let bit = ch.hit_mask[b / 64] >> (b % 64) & 1 == 1;
-                            assert_eq!(bit, bank.hit != NIL, "mask bank {b}: {at}");
-                        }
-                        let routed = (ch.len as usize) < ch.active.len() * 2;
-                        if routed {
-                            cov.shallow_states += 1;
-                        } else {
-                            cov.deep_states += 1;
-                        }
-                        if let ScanHead::Gated { first, .. } = scan_phase1(ch) {
-                            if policy == MemSchedPolicy::FrFcfs
-                                && routed
-                                && carried.is_some_and(|(_, h)| h != first)
-                            {
-                                cov.masked_phase2_hits += 1;
+                            5..=7 => {
+                                now += 1 + rng.next_below(25);
+                                advance_counting(&mut c, now, &mut cov);
                             }
-                        }
+                            _ => {
+                                if let Some(t) = c.next_event_time() {
+                                    now = now.max(t);
+                                    advance_counting(&mut c, now, &mut cov);
+                                }
+                            }
+                        },
                     }
-                    assert_eq!(c.next_event_time(), c.rescanned_next_event_time());
-                    if op % 64 == 0 {
+                    let at = format!("{policy:?} {stream:?} seed {seed:#x} op {op}");
+                    check_picks(&c, policy, &at, &mut cov);
+                    if op % 64 == 0 || matches!(stream, Stream::Churn) {
                         c.check_index_invariants();
                     }
                 }
                 c.check_index_invariants();
+                if let Stream::Churn = stream {
+                    while let Some(t) = c.next_event_time() {
+                        now = now.max(t);
+                        advance_counting(&mut c, now, &mut cov);
+                        check_picks(&c, policy, &format!("{policy:?} churn drain"), &mut cov);
+                    }
+                    c.check_index_invariants();
+                    let s = c.stats();
+                    assert_eq!(s.completed, c.next_id, "{policy:?}: churn did not drain");
+                    assert!(s.data_requests > 0 && s.walk_requests > 0, "{s:?}");
+                    assert!(s.row_hits > 0 && s.row_conflicts > 0, "{s:?}");
+                }
             }
         }
         assert!(cov.carried_issues >= 1_000, "{cov:?}");
@@ -1323,47 +1356,45 @@ mod tests {
         assert!(cov.masked_phase2_hits >= 50, "{cov:?}");
         assert!(cov.displaced_earlier >= 100, "{cov:?}");
         assert!(cov.displaced_row_hit >= 20, "{cov:?}");
+        assert!(cov.burst_submits >= 5_000, "{cov:?}");
+        assert!(cov.behind_gate_submits >= 5_000, "{cov:?}");
     }
 
     /// Bus-gate displacement: a gated non-hit head must be displaced by a
-    /// younger gated row hit, under both the index and the oracle.
+    /// younger gated row hit, under both the index and the legacy scan.
     #[test]
     fn gated_row_hit_displaces_older_gated_conflict() {
         let cfg = DramConfig::paper_baseline();
-        let row_stride = cfg.row_bytes * cfg.channels as u64 * cfg.banks_per_channel() as u64;
-        for oracle in [false, true] {
-            let mut c = MemoryController::new(cfg.clone(), MemSchedPolicy::FrFcfs);
-            c.force_oracle(oracle);
-            // Open row 0 in banks 0 and 1 of channel 0, drain fully.
-            c.submit(LineAddr::new(0), MemSource::Data, Cycle::ZERO);
-            c.submit(LineAddr::new(128), MemSource::Data, Cycle::ZERO);
-            let t = drain(&mut c).last().unwrap().at;
-            // Issue a cold request to bank 2 at `t`; the bus gate moves to
-            // t + bus_cycles, i.e. *ahead* of `t`.
-            c.submit(LineAddr::new(256), MemSource::Data, t);
-            c.advance_into(t, &mut Vec::new());
-            // Both submitted at `t` with banks ready by `t`, so both sit
-            // behind the bus gate: an older conflict (bank 0, new row) and
-            // a younger row hit (bank 1, open row). The issue happens at
-            // the gate and the younger hit must displace the older miss —
-            // the legacy scan's phase-2 path.
-            let miss = c.submit(LineAddr::new(7 * row_stride), MemSource::Data, t);
-            let hit = c.submit(LineAddr::new(128), MemSource::Data, t);
-            let (gt, first) = c.debug_next_issue(0).expect("work queued");
-            assert_eq!(
-                (gt, first),
-                c.debug_oracle_next_issue(0).expect("work queued")
-            );
-            assert_eq!(gt, t + cfg.bus_cycles, "issue pinned to the bus gate");
-            assert_eq!(first, hit, "gated row hit must displace older conflict");
-            let done = drain(&mut c);
-            assert_eq!(done[0].id, hit, "displaced hit completes first");
-            assert_eq!(
-                done.last().unwrap().id,
-                miss,
-                "older conflict completes last"
-            );
-        }
+        let mut c = MemoryController::new(cfg.clone(), MemSchedPolicy::FrFcfs);
+        // Open row 0 in banks 0 and 1 of channel 0, drain fully.
+        c.submit(line_for(&cfg, 0, 0, 0), MemSource::Data, Cycle::ZERO);
+        c.submit(line_for(&cfg, 0, 1, 0), MemSource::Data, Cycle::ZERO);
+        let t = drain(&mut c).last().unwrap().at;
+        // Issue a cold request to bank 2 at `t`; the bus gate moves to
+        // t + bus_cycles, i.e. *ahead* of `t`.
+        c.submit(line_for(&cfg, 0, 2, 0), MemSource::Data, t);
+        c.advance_into(t, &mut Vec::new());
+        // Both submitted at `t` with banks ready by `t`, so both sit
+        // behind the bus gate: an older conflict (bank 0, new row) and
+        // a younger row hit (bank 1, open row). The issue happens at
+        // the gate and the younger hit must displace the older miss —
+        // the legacy scan's phase-2 path.
+        let miss = c.submit(line_for(&cfg, 0, 0, 7), MemSource::Data, t);
+        let hit = c.submit(line_for(&cfg, 0, 1, 0), MemSource::Data, t);
+        let (gt, first) = c.next_issue(0).expect("work queued");
+        assert_eq!(Some((gt, first)), c.next_issue_legacy(0));
+        assert_eq!(gt, t + cfg.bus_cycles, "issue pinned to the bus gate");
+        assert_eq!(
+            c.channels[0].slab[first as usize].id, hit,
+            "gated row hit must displace older conflict"
+        );
+        let done = drain(&mut c);
+        assert_eq!(done[0].id, hit, "displaced hit completes first");
+        assert_eq!(
+            done.last().unwrap().id,
+            miss,
+            "older conflict completes last"
+        );
     }
 
     /// Drains the controller fully, returning completions in order.

@@ -33,17 +33,16 @@
 //! per cell plus a geometric mean across cells. Both sides run as
 //! supervised one-cell child processes (the `worker` entry both binaries
 //! expose), so spawn and hand-off overhead cancel out of the ratio. Wall
-//! time, not events/s, is the compared quantity: event fusion means the
-//! two binaries legitimately pop different event counts for the same
-//! simulated run, and the ratio of simulated-events-per-second would
-//! conflate that with host speed. The greppable `ab-summary:` /
+//! time, not events/s, is the compared quantity: a change to how events
+//! are batched or split lets the two binaries legitimately pop different
+//! event counts for the same simulated run, and the ratio of
+//! simulated-events-per-second would conflate that with host speed. The greppable `ab-summary:` /
 //! `ab-xsb:` lines carry the headline numbers (EXPERIMENTS.md §PR 10).
 //!
 //! `--topology` and `--large-page-frac` override the Table I baseline's
 //! single-IOMMU all-4K configuration for every cell; when either is given,
 //! the run ends with a greppable `topology-smoke:` aggregate line (total
-//! 2 MiB walks, the least-loaded IOMMU's walk count, worst imbalance)
-//! that `scripts/ci.sh` asserts against.
+//! 2 MiB walks, the least-loaded IOMMU's walk count, worst imbalance).
 //!
 //! Each cell is simulated `--reps` times and timed independently; the
 //! recorded `wall_ms` is the **minimum** across repetitions (the run
@@ -65,7 +64,7 @@
 //! events_per_sec}], total, ci_smoke, history}`). An existing file's
 //! `history` array is carried over and the new aggregate appended, so
 //! successive refreshes record the perf trajectory. `ci_smoke` holds a
-//! small-scale aggregate used by `scripts/ci.sh bench-smoke`: `--check
+//! small-scale aggregate used by the CI bench smoke: `--check
 //! FILE` re-runs the small sweep (same min-of-reps rule) and exits
 //! nonzero if measured events/sec fall more than `--max-regress` percent
 //! below the stored smoke baseline.
@@ -921,8 +920,7 @@ fn main() -> ExitCode {
     }
     if !shape.is_baseline() {
         // Aggregate across cells: elementwise per-IOMMU sums, total 2 MiB
-        // walks, and the worst per-cell imbalance. One greppable line for
-        // the CI topology smoke cell.
+        // walks, and the worst per-cell imbalance, as one greppable line.
         let width = cells
             .iter()
             .map(|c| c.per_iommu_walks.len())

@@ -3,6 +3,7 @@
 use ptw_core::iommu::IommuConfig;
 use ptw_core::sched::SchedulerKind;
 use ptw_gpu::GpuConfig;
+use ptw_mem::assoc::{Replacement, MAX_WAYS};
 use ptw_mem::cache::CacheConfig;
 use ptw_mem::controller::MemSchedPolicy;
 use ptw_mem::dram::DramConfig;
@@ -353,8 +354,10 @@ impl SystemConfig {
     ///
     /// Checks: walker pool in `1..=`[`MAX_WALKERS`], nonzero IOMMU buffer,
     /// nonzero CU count, IOMMU count in `1..=`[`MAX_IOMMUS`],
-    /// well-formed TLB geometries (entries a positive multiple of ways,
-    /// power-of-two set count), well-formed data caches
+    /// well-formed TLB geometries (entries a positive multiple of 1..=64
+    /// ways, power-of-two set count, power-of-two ways under tree-PLRU),
+    /// a well-formed page-walk cache (entries per level a positive
+    /// multiple of 1..=64 ways), well-formed data caches
     /// ([`CacheConfig::validate`](ptw_mem::cache::CacheConfig::validate)),
     /// a consistent DRAM configuration
     /// ([`DramConfig::validate`]), epoch length in `1..=`
@@ -381,9 +384,10 @@ impl SystemConfig {
             ("iommu-l2", &self.iommu.l2_tlb),
         ] {
             let bad = tlb.entries == 0
-                || tlb.ways == 0
+                || !(1..=MAX_WAYS).contains(&tlb.ways)
                 || tlb.entries % tlb.ways != 0
-                || !(tlb.entries / tlb.ways).is_power_of_two();
+                || !(tlb.entries / tlb.ways).is_power_of_two()
+                || (tlb.policy == Replacement::TreePlru && !tlb.ways.is_power_of_two());
             if bad {
                 return Err(ConfigError::TlbGeometry {
                     tlb: name,
@@ -391,6 +395,16 @@ impl SystemConfig {
                     ways: tlb.ways,
                 });
             }
+        }
+        let pwc = &self.iommu.pwc;
+        if pwc.entries_per_level == 0
+            || !(1..=MAX_WAYS).contains(&pwc.ways)
+            || !pwc.entries_per_level.is_multiple_of(pwc.ways)
+        {
+            return Err(ConfigError::PwcGeometry {
+                entries_per_level: pwc.entries_per_level,
+                ways: pwc.ways,
+            });
         }
         for (name, cache) in [("l1", &self.l1_cache), ("l2", &self.l2_cache)] {
             if cache.validate().is_err() {
@@ -647,6 +661,53 @@ mod tests {
             .with_topology(2, 2)
             .with_large_page_permille(500);
         assert!(c.validate().is_ok());
+    }
+
+    /// Geometries that `System::try_new` could not build: each must be a
+    /// typed rejection, not a panic in the PWC or TLB constructors.
+    #[test]
+    fn validate_rejects_unbuildable_pwc_and_tlb_geometries() {
+        for (entries_per_level, ways) in [(0, 32), (32, 0), (32, 5), (128, 128)] {
+            let mut c = SystemConfig::paper_baseline();
+            c.iommu.pwc.entries_per_level = entries_per_level;
+            c.iommu.pwc.ways = ways;
+            assert_eq!(
+                c.validate(),
+                Err(ConfigError::PwcGeometry {
+                    entries_per_level,
+                    ways
+                })
+            );
+        }
+        let mut c = SystemConfig::paper_baseline();
+        c.gpu_l2_tlb.entries = 128;
+        c.gpu_l2_tlb.ways = 128;
+        assert_eq!(
+            c.validate(),
+            Err(ConfigError::TlbGeometry {
+                tlb: "gpu-l2",
+                entries: 128,
+                ways: 128
+            })
+        );
+        let mut c = SystemConfig::paper_baseline();
+        c.gpu_l1_tlb.entries = 12;
+        c.gpu_l1_tlb.ways = 3;
+        c.gpu_l1_tlb.policy = Replacement::TreePlru;
+        assert_eq!(
+            c.validate(),
+            Err(ConfigError::TlbGeometry {
+                tlb: "gpu-l1",
+                entries: 12,
+                ways: 3
+            })
+        );
+        // The same 12 × 3 shape is fine under the other policies, and the
+        // limits themselves are accepted.
+        c.gpu_l1_tlb.policy = Replacement::Random;
+        c.iommu.pwc.entries_per_level = 128;
+        c.iommu.pwc.ways = MAX_WAYS;
+        assert_eq!(c.validate(), Ok(()));
     }
 
     #[test]

@@ -29,14 +29,23 @@ pub enum ConfigError {
     ZeroBufferEntries,
     /// The GPU has zero compute units; no wavefront could ever run.
     ZeroCus,
-    /// A TLB's geometry is degenerate: zero entries, zero ways, a way
-    /// count not dividing the entry count, or a non-power-of-two set
-    /// count (the index function requires power-of-two sets).
+    /// A TLB's geometry is degenerate: zero entries, a way count outside
+    /// 1..=64 or not dividing the entry count, a non-power-of-two set
+    /// count (the index function requires power-of-two sets), or a
+    /// non-power-of-two way count under tree pseudo-LRU replacement.
     TlbGeometry {
         /// Which TLB ("gpu-l1", "gpu-l2", "iommu-l1", "iommu-l2").
         tlb: &'static str,
         /// The offending entry count.
         entries: usize,
+        /// The offending way count.
+        ways: usize,
+    },
+    /// A page-walk cache's per-level geometry is degenerate: zero entries,
+    /// or a way count outside 1..=64 or not dividing the entry count.
+    PwcGeometry {
+        /// The offending entry count per level.
+        entries_per_level: usize,
         /// The offending way count.
         ways: usize,
     },
@@ -131,7 +140,16 @@ impl std::fmt::Display for ConfigError {
             ConfigError::TlbGeometry { tlb, entries, ways } => write!(
                 f,
                 "{tlb} TLB geometry invalid: {entries} entries / {ways} ways \
-                 (need entries a positive multiple of ways and a power-of-two set count)"
+                 (need entries a positive multiple of 1..=64 ways, a power-of-two set count, \
+                 and power-of-two ways under tree-PLRU)"
+            ),
+            ConfigError::PwcGeometry {
+                entries_per_level,
+                ways,
+            } => write!(
+                f,
+                "page-walk cache geometry invalid: {entries_per_level} entries per level / \
+                 {ways} ways (need entries a positive multiple of 1..=64 ways)"
             ),
             ConfigError::CacheGeometry {
                 cache,

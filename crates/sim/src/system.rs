@@ -30,7 +30,7 @@ use ptw_types::ids::{InstrId, InstrIdAllocator, WavefrontId};
 use ptw_types::time::Cycle;
 use ptw_workloads::Workload;
 
-use crate::config::{FaultKind, SystemConfig};
+use crate::config::{FaultInjection, FaultKind, SystemConfig, WatchdogConfig};
 use crate::engine::EventQueue;
 use crate::error::{ConfigError, SimError};
 use crate::metrics::{InstrWalkLog, MetricsCollector, RunMetrics, WalkObservation};
@@ -64,6 +64,50 @@ fn trip_fatal_fault(kind: FaultKind, at_event: u64, now: Cycle) -> ! {
     }
 }
 
+/// The per-event run checks' state: event budget, livelock watchdog and
+/// injected fault ([`System::check_event`]).
+struct RunChecks {
+    /// Largest accepted processed-event count (`u64::MAX` = unlimited).
+    budget: u64,
+    watchdog: WatchdogConfig,
+    /// Processed-event count of the next watchdog sample.
+    wd_next_check: u64,
+    wd_last_retired: u64,
+    wd_stalled: u64,
+    fault: Option<FaultInjection>,
+}
+
+impl RunChecks {
+    fn new(cfg: &SystemConfig) -> Self {
+        RunChecks {
+            budget: if cfg.max_events > 0 {
+                cfg.max_events
+            } else {
+                u64::MAX
+            },
+            watchdog: cfg.watchdog,
+            wd_next_check: if cfg.watchdog.enabled() {
+                cfg.watchdog.check_events
+            } else {
+                u64::MAX
+            },
+            wd_last_retired: 0,
+            wd_stalled: 0,
+            fault: cfg.fault,
+        }
+    }
+
+    /// The largest processed-event count at which no check can trigger.
+    fn quiet_until(&self) -> u64 {
+        let fault = self
+            .fault
+            .map_or(u64::MAX, |f| f.at_event.saturating_sub(1));
+        self.budget
+            .min(self.wd_next_check.saturating_sub(1))
+            .min(fault)
+    }
+}
+
 /// Events of the system-level simulation.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Event {
@@ -84,22 +128,10 @@ enum Event {
         walker: u8,
         addr: PhysAddr,
     },
-    /// Fused form of a same-cycle run of `WalkerIssue` events: every
-    /// first PTE read started by one walker kick. The payload lives in
-    /// [`System::walk_batch_slots`] under `slot`; the handler replays the
-    /// per-read submits in order, so the run is indistinguishable from
-    /// the plain events it replaces (DESIGN.md §14).
-    WalkerIssueBatch { iommu: u8, slot: u32 },
     /// A data-cache miss is submitted to the memory controller.
     DataSubmit { line: LineAddr },
     /// One cache-line fetch of the wavefront's instruction finished.
     LineDone { wf: u32 },
-    /// Fused form of a same-cycle run of `TranslationDone` events: the
-    /// fan-out of one finished walk (the walker's own request plus its
-    /// piggybacked merges, when their completion times coincide). The
-    /// waiting wavefronts live in [`System::done_batch_slots`] under
-    /// `slot`; the handler replays them in push order.
-    TranslationDoneBatch { slot: u32 },
     /// Wake the memory controller.
     MemTick,
 }
@@ -207,24 +239,6 @@ pub struct System {
     walk_completions: Vec<CompletedTranslation<Token>>,
     /// Recycled line buffers for [`InflightInstr::lines`].
     line_pool: Vec<Vec<VirtAddr>>,
-    /// Payloads of pending [`Event::WalkerIssueBatch`] events, indexed by
-    /// the event's `slot`: the `(walker, first PTE address)` pairs of one
-    /// walker kick. Slots are recycled through `walk_batch_free`, so the
-    /// steady state allocates nothing.
-    walk_batch_slots: Vec<Vec<(u8, PhysAddr)>>,
-    /// Free slots in `walk_batch_slots`.
-    walk_batch_free: Vec<u32>,
-    /// Payloads of pending [`Event::TranslationDoneBatch`] events: the
-    /// wavefronts awoken by one walk's completion fan-out.
-    done_batch_slots: Vec<Vec<u32>>,
-    /// Free slots in `done_batch_slots`.
-    done_batch_free: Vec<u32>,
-    /// Emit fused batch events for same-cycle walk-start and completion
-    /// fan-out runs (the default). Cleared by
-    /// [`force_unfused`](System::force_unfused), the differential-test
-    /// mode that pins the fused and unfused event streams to identical
-    /// simulated results.
-    fuse_events: bool,
 }
 
 impl std::fmt::Debug for System {
@@ -309,44 +323,8 @@ impl System {
             walker_reads: Vec::new(),
             walk_completions: Vec::new(),
             line_pool: Vec::new(),
-            walk_batch_slots: Vec::new(),
-            walk_batch_free: Vec::new(),
-            done_batch_slots: Vec::new(),
-            done_batch_free: Vec::new(),
-            fuse_events: true,
             workload,
             cfg,
-        })
-    }
-
-    /// Turns fused batch events off (`true`) or back on. Differential-test
-    /// hook; not part of the stable API.
-    #[doc(hidden)]
-    pub fn force_unfused(&mut self, on: bool) {
-        self.fuse_events = !on;
-    }
-
-    /// Routes DRAM scheduling through the controller's legacy whole-queue
-    /// scan (`true`) or its per-bank index (`false`, the default).
-    /// Differential-test hook; not part of the stable API.
-    #[doc(hidden)]
-    pub fn force_dram_oracle(&mut self, on: bool) {
-        self.mem.force_oracle(on);
-    }
-
-    /// Claims a recycled slot for a walker-kick batch payload.
-    fn alloc_walk_batch(&mut self) -> u32 {
-        self.walk_batch_free.pop().unwrap_or_else(|| {
-            self.walk_batch_slots.push(Vec::new());
-            (self.walk_batch_slots.len() - 1) as u32
-        })
-    }
-
-    /// Claims a recycled slot for a completion fan-out batch payload.
-    fn alloc_done_batch(&mut self) -> u32 {
-        self.done_batch_free.pop().unwrap_or_else(|| {
-            self.done_batch_slots.push(Vec::new());
-            (self.done_batch_slots.len() - 1) as u32
         })
     }
 
@@ -384,36 +362,15 @@ impl System {
         let mut reads = std::mem::take(&mut self.walker_reads);
         let table = self.workload.space().table();
         self.iommus[io].start_walkers_into(table, now, &mut reads);
-        if self.fuse_events && reads.len() > 1 {
-            // Every first read of a kick is issued one PWC latency after
-            // `now` (`start_walkers_into`), so the run shares one cycle
-            // and its plain events would carry consecutive sequence
-            // numbers — exactly the shape a single batch event replayed
-            // in push order reproduces (DESIGN.md §14).
-            debug_assert!(
-                reads.iter().all(|r| r.issue_at == reads[0].issue_at),
-                "walker kick produced mixed issue times"
-            );
-            let slot = self.alloc_walk_batch();
-            self.walk_batch_slots[slot as usize].extend(reads.iter().map(|r| (r.walker.0, r.addr)));
+        for &r in &reads {
             self.queue.schedule(
-                reads[0].issue_at.max(now),
-                Event::WalkerIssueBatch {
+                r.issue_at.max(now),
+                Event::WalkerIssue {
                     iommu: io as u8,
-                    slot,
+                    walker: r.walker.0,
+                    addr: r.addr,
                 },
             );
-        } else {
-            for &r in &reads {
-                self.queue.schedule(
-                    r.issue_at.max(now),
-                    Event::WalkerIssue {
-                        iommu: io as u8,
-                        walker: r.walker.0,
-                        addr: r.addr,
-                    },
-                );
-            }
         }
         reads.clear();
         self.walker_reads = reads;
@@ -553,35 +510,6 @@ impl System {
         self.touch_mem(now);
     }
 
-    /// Replays one fused walker kick: the exact per-read submit /
-    /// bookkeeping / re-arm sequence the plain `WalkerIssue` handlers
-    /// would have run back-to-back (they are adjacent in their calendar
-    /// bucket, so nothing could have dispatched between them).
-    fn handle_walker_issue_batch(&mut self, iommu: u8, slot: u32, now: Cycle) {
-        let mut batch = std::mem::take(&mut self.walk_batch_slots[slot as usize]);
-        for &(walker, addr) in &batch {
-            let id = self.mem.submit(addr.line(), MemSource::PageWalk, now);
-            self.walk_reads
-                .push((id, iommu, ptw_types::ids::WalkerId(walker)));
-            self.touch_mem(now);
-        }
-        batch.clear();
-        self.walk_batch_slots[slot as usize] = batch;
-        self.walk_batch_free.push(slot);
-    }
-
-    /// Replays one fused completion fan-out: wakes each waiting wavefront
-    /// in the order its plain `TranslationDone` event would have fired.
-    fn handle_translation_done_batch(&mut self, slot: u32, now: Cycle) {
-        let mut batch = std::mem::take(&mut self.done_batch_slots[slot as usize]);
-        for &wf in &batch {
-            self.handle_translation_done(wf, now);
-        }
-        batch.clear();
-        self.done_batch_slots[slot as usize] = batch;
-        self.done_batch_free.push(slot);
-    }
-
     fn handle_data_submit(&mut self, line: LineAddr, now: Cycle) {
         self.mem.submit(line, MemSource::Data, now);
         self.touch_mem(now);
@@ -621,55 +549,28 @@ impl System {
                             );
                         }
                         None => {
-                            walker_finished = true;
-                            let hop = self.cfg.gpu.iommu_hop_cycles;
                             // One finished walk fans out to its own waiter
-                            // plus every piggybacked merge. The plain
-                            // events of one equal-completion-time run
-                            // would carry consecutive sequence numbers, so
-                            // a single batch event replayed in push order
-                            // is indistinguishable; a straggler whose
-                            // merge was enqueued after the walk finished
-                            // completes later and starts a new run at its
-                            // own time (DESIGN.md §14).
-                            let mut i = 0;
-                            while i < done.len() {
-                                let at = done[i].completed_at;
-                                let mut j = i + 1;
-                                while j < done.len() && done[j].completed_at == at {
-                                    j += 1;
-                                }
-                                for ct in &done[i..j] {
-                                    let wf = ct.waiter.wf;
-                                    let cu = self.cu_of(wf);
-                                    self.fill_gpu_tlbs(cu, ct.page, ct.frame, ct.large);
-                                    self.inflight[wf as usize]
-                                        .as_mut()
-                                        .expect("completion for idle wavefront")
-                                        .walk_log
-                                        .record(WalkObservation {
-                                            latency: ct.completed_at - ct.enqueued_at,
-                                            completed_at: ct.completed_at,
-                                            service_seq: ct.service_seq,
-                                            via_walk: ct.via_walk,
-                                            accesses: ct.walk_accesses,
-                                        });
-                                }
-                                if self.fuse_events && j - i > 1 {
-                                    let slot = self.alloc_done_batch();
-                                    self.done_batch_slots[slot as usize]
-                                        .extend(done[i..j].iter().map(|ct| ct.waiter.wf));
-                                    self.queue
-                                        .schedule(at + hop, Event::TranslationDoneBatch { slot });
-                                } else {
-                                    for ct in &done[i..j] {
-                                        self.queue.schedule(
-                                            at + hop,
-                                            Event::TranslationDone { wf: ct.waiter.wf },
-                                        );
-                                    }
-                                }
-                                i = j;
+                            // plus every piggybacked merge.
+                            walker_finished = true;
+                            for ct in &done {
+                                let wf = ct.waiter.wf;
+                                let cu = self.cu_of(wf);
+                                self.fill_gpu_tlbs(cu, ct.page, ct.frame, ct.large);
+                                self.inflight[wf as usize]
+                                    .as_mut()
+                                    .expect("completion for idle wavefront")
+                                    .walk_log
+                                    .record(WalkObservation {
+                                        latency: ct.completed_at - ct.enqueued_at,
+                                        completed_at: ct.completed_at,
+                                        service_seq: ct.service_seq,
+                                        via_walk: ct.via_walk,
+                                        accesses: ct.walk_accesses,
+                                    });
+                                self.queue.schedule(
+                                    ct.completed_at + self.cfg.gpu.iommu_hop_cycles,
+                                    Event::TranslationDone { wf },
+                                );
                             }
                         }
                     }
@@ -780,12 +681,8 @@ impl System {
                 walker,
                 addr,
             } => self.handle_walker_issue(iommu, walker, addr, now),
-            Event::WalkerIssueBatch { iommu, slot } => {
-                self.handle_walker_issue_batch(iommu, slot, now)
-            }
             Event::DataSubmit { line } => self.handle_data_submit(line, now),
             Event::LineDone { wf } => self.handle_line_done(wf, now),
-            Event::TranslationDoneBatch { slot } => self.handle_translation_done_batch(slot, now),
             Event::MemTick => self.handle_mem_tick(now),
         }
     }
@@ -793,8 +690,8 @@ impl System {
     /// Host-cache hint issued one event ahead of dispatch: pulls the set
     /// lines the *next* event's handler will probe while the current one
     /// runs. Purely a performance hint — prefetches never change
-    /// simulated behavior, so the unbatched oracle loop skips them
-    /// without diverging.
+    /// simulated behavior, so the slow path and the per-event reference
+    /// loop in the tests skip them without diverging.
     #[inline]
     fn prefetch_for(&self, event: &Event) {
         match *event {
@@ -816,7 +713,7 @@ impl System {
     /// Two same-cycle shapes are exploited (the equivalence argument for
     /// each lives in DESIGN.md §10):
     ///
-    /// * **Fused submit runs.** Consecutive `WalkerIssue`/`DataSubmit`
+    /// * **Submit runs.** Consecutive `WalkerIssue`/`DataSubmit`
     ///   events touch the memory controller back-to-back. Their handlers
     ///   schedule nothing except the `touch_mem` re-arm tick, so the
     ///   per-submit re-arm decision is replayed into `ticks` (tracking a
@@ -889,10 +786,8 @@ impl System {
     /// [`dispatch_bucket`](Self::dispatch_bucket). Same-cycle events newly
     /// scheduled by a bucket's handlers carry larger insertion sequence
     /// numbers than anything drained, so re-draining the same cycle on the
-    /// next iteration reproduces the exact `(time, seq)` order of the
-    /// one-event-at-a-time loop ([`try_run_unbatched`]
-    /// (Self::try_run_unbatched) keeps that loop as the differential
-    /// oracle).
+    /// next iteration reproduces the exact `(time, seq)` order of a
+    /// one-event-at-a-time loop (the tests keep that loop as a reference).
     ///
     /// Besides the `cfg.max_events` budget, a watchdog samples the retired
     /// instruction count every `cfg.watchdog.check_events` events: if it
@@ -901,28 +796,13 @@ impl System {
     /// error carries a snapshot of the IOMMU scheduling state. These
     /// per-event checks are hoisted to a per-bucket checkpoint: a bucket
     /// whose last event provably stays below every trigger threshold takes
-    /// a check-free fast path; otherwise a slow path replays the exact
-    /// per-event check order with a virtual event counter, so budget,
+    /// a check-free fast path; otherwise a slow path runs
+    /// [`check_event`](Self::check_event) before each event with the count
+    /// the queue would have reported after popping it alone, so budget,
     /// watchdog, and injected faults trigger at the same event counts with
-    /// the same payloads as the unbatched loop.
+    /// the same payloads as a per-event loop.
     pub fn try_run(mut self) -> Result<RunResult, SimError> {
-        let watchdog = self.cfg.watchdog;
-        let mut wd_next_check = if watchdog.enabled() {
-            watchdog.check_events
-        } else {
-            u64::MAX
-        };
-        let mut wd_last_retired = 0u64;
-        let mut wd_stalled = 0u64;
-        let fault = self.cfg.fault;
-        let budget = if self.cfg.max_events > 0 {
-            self.cfg.max_events
-        } else {
-            u64::MAX
-        };
-        // Largest processed-event count at which an injected fault still
-        // cannot fire (`processed >= at_event` is the trigger).
-        let fault_clear = fault.map_or(u64::MAX, |f| f.at_event.saturating_sub(1));
+        let mut checks = RunChecks::new(&self.cfg);
         let mut batch: Vec<Event> = Vec::new();
         let mut ticks: Vec<Cycle> = Vec::new();
         loop {
@@ -931,135 +811,75 @@ impl System {
             let Some(now) = self.queue.pop_bucket_into(&mut batch) else {
                 break;
             };
-            let after = before + batch.len() as u64;
-            // Fast path: no check can trigger anywhere in this bucket.
-            let clear = budget.min(wd_next_check.saturating_sub(1)).min(fault_clear);
-            if after <= clear {
+            if before + batch.len() as u64 <= checks.quiet_until() {
                 self.dispatch_bucket(&batch, now, &mut ticks);
                 continue;
             }
-            // Slow path: replay the exact per-event check order of the
-            // unbatched loop; `processed` is the count the queue would
-            // have reported right after popping this event.
             for (i, &event) in batch.iter().enumerate() {
-                let processed = before + i as u64 + 1;
-                if self.cfg.max_events > 0 && processed > self.cfg.max_events {
-                    return Err(SimError::EventBudgetExhausted {
-                        events: processed,
-                        now: now.raw(),
-                        snapshot: self.stall_snapshot(),
-                    });
+                if self.check_event(&mut checks, before + i as u64 + 1, event, now)? {
+                    self.handle_event(event, now);
                 }
-                if processed >= wd_next_check {
-                    wd_next_check = processed + watchdog.check_events;
-                    let retired = self.metrics.instructions_completed();
-                    if retired == wd_last_retired {
-                        wd_stalled += 1;
-                        if wd_stalled >= watchdog.stall_epochs {
-                            return Err(SimError::Livelock {
-                                events: processed,
-                                now: now.raw(),
-                                stalled_epochs: wd_stalled,
-                                retired_instructions: retired,
-                                snapshot: self.stall_snapshot(),
-                            });
-                        }
-                    } else {
-                        wd_stalled = 0;
-                        wd_last_retired = retired;
-                    }
-                }
-                if let Some(fault) = fault {
-                    if processed >= fault.at_event {
-                        match fault.kind {
-                            FaultKind::Panic => panic!(
-                                "injected fault: panic at event {} (cycle {now})",
-                                fault.at_event
-                            ),
-                            FaultKind::Livelock => {
-                                // Swallow the event and push it one cycle
-                                // out: the event stream keeps flowing while
-                                // retired instructions freeze — the exact
-                                // signature the watchdog exists to catch.
-                                self.queue.schedule(now + 1u64, event);
-                                continue;
-                            }
-                            FaultKind::Abort | FaultKind::Hang => {
-                                trip_fatal_fault(fault.kind, fault.at_event, now)
-                            }
-                        }
-                    }
-                }
-                self.handle_event(event, now);
             }
         }
         self.finish()
     }
 
-    /// The pre-batching event loop: pops and checks one event at a time.
-    ///
-    /// Kept verbatim as the differential oracle for
-    /// [`try_run`](Self::try_run) — `tests/batched_dispatch_oracle.rs`
-    /// pins every (benchmark × policy) cell to a bit-identical
-    /// [`RunResult`] across the two loops.
-    pub fn try_run_unbatched(mut self) -> Result<RunResult, SimError> {
-        let watchdog = self.cfg.watchdog;
-        let mut wd_next_check = if watchdog.enabled() {
-            watchdog.check_events
-        } else {
-            u64::MAX
-        };
-        let mut wd_last_retired = 0u64;
-        let mut wd_stalled = 0u64;
-        let fault = self.cfg.fault;
-        while let Some((now, event)) = self.queue.pop() {
-            let processed = self.queue.processed();
-            if self.cfg.max_events > 0 && processed > self.cfg.max_events {
-                return Err(SimError::EventBudgetExhausted {
-                    events: processed,
-                    now: now.raw(),
-                    snapshot: self.stall_snapshot(),
-                });
-            }
-            if processed >= wd_next_check {
-                wd_next_check = processed + watchdog.check_events;
-                let retired = self.metrics.instructions_completed();
-                if retired == wd_last_retired {
-                    wd_stalled += 1;
-                    if wd_stalled >= watchdog.stall_epochs {
-                        return Err(SimError::Livelock {
-                            events: processed,
-                            now: now.raw(),
-                            stalled_epochs: wd_stalled,
-                            retired_instructions: retired,
-                            snapshot: self.stall_snapshot(),
-                        });
-                    }
-                } else {
-                    wd_stalled = 0;
-                    wd_last_retired = retired;
-                }
-            }
-            if let Some(fault) = fault {
-                if processed >= fault.at_event {
-                    match fault.kind {
-                        FaultKind::Panic => panic!(
-                            "injected fault: panic at event {} (cycle {now})",
-                            fault.at_event
-                        ),
-                        FaultKind::Livelock => {
-                            self.queue.schedule(now + 1u64, event);
-                            continue;
-                        }
-                        FaultKind::Abort | FaultKind::Hang => {
-                            trip_fatal_fault(fault.kind, fault.at_event, now)
-                        }
-                    }
-                }
-            }
-            self.handle_event(event, now);
+    /// The budget, watchdog and fault checks for the `processed`-th event
+    /// of the run, `event`, popped at `now`. Returns whether to dispatch
+    /// it: an injected livelock swallows the event instead, pushing it one
+    /// cycle out.
+    fn check_event(
+        &mut self,
+        checks: &mut RunChecks,
+        processed: u64,
+        event: Event,
+        now: Cycle,
+    ) -> Result<bool, SimError> {
+        if processed > checks.budget {
+            return Err(SimError::EventBudgetExhausted {
+                events: processed,
+                now: now.raw(),
+                snapshot: self.stall_snapshot(),
+            });
         }
-        self.finish()
+        if processed >= checks.wd_next_check {
+            checks.wd_next_check = processed + checks.watchdog.check_events;
+            let retired = self.metrics.instructions_completed();
+            if retired == checks.wd_last_retired {
+                checks.wd_stalled += 1;
+                if checks.wd_stalled >= checks.watchdog.stall_epochs {
+                    return Err(SimError::Livelock {
+                        events: processed,
+                        now: now.raw(),
+                        stalled_epochs: checks.wd_stalled,
+                        retired_instructions: retired,
+                        snapshot: self.stall_snapshot(),
+                    });
+                }
+            } else {
+                checks.wd_stalled = 0;
+                checks.wd_last_retired = retired;
+            }
+        }
+        match checks.fault {
+            Some(fault) if processed >= fault.at_event => match fault.kind {
+                FaultKind::Panic => panic!(
+                    "injected fault: panic at event {} (cycle {now})",
+                    fault.at_event
+                ),
+                FaultKind::Livelock => {
+                    // The event stream keeps flowing while retired
+                    // instructions freeze — the exact signature the
+                    // watchdog exists to catch.
+                    self.queue.schedule(now + 1u64, event);
+                    Ok(false)
+                }
+                FaultKind::Abort | FaultKind::Hang => {
+                    trip_fatal_fault(fault.kind, fault.at_event, now)
+                }
+            },
+            _ => Ok(true),
+        }
     }
 
     /// Diagnostic snapshot for an aborted run: the IOMMU with the most
@@ -1081,8 +901,8 @@ impl System {
         Box::new(snapshot)
     }
 
-    /// Post-loop result assembly shared by both run loops: deadlock
-    /// detection, CU finishing, and metric aggregation.
+    /// Post-loop result assembly: deadlock detection, CU finishing, and
+    /// metric aggregation.
     fn finish(mut self) -> Result<RunResult, SimError> {
         let end = self.queue.now();
         let unretired = self
@@ -1211,6 +1031,79 @@ mod tests {
         System::new(cfg, w).run()
     }
 
+    impl System {
+        /// The per-event reference loop: pops, checks and dispatches one
+        /// event at a time, with none of `try_run`'s bucket draining,
+        /// submit runs, stale-tick skipping or hoisted checks.
+        fn try_run_per_event(mut self) -> Result<RunResult, SimError> {
+            let mut checks = RunChecks::new(&self.cfg);
+            while let Some((now, event)) = self.queue.pop() {
+                let processed = self.queue.processed();
+                if self.check_event(&mut checks, processed, event, now)? {
+                    self.handle_event(event, now);
+                }
+            }
+            self.finish()
+        }
+    }
+
+    /// Runs `cfg` on a small-scale `bench` through both loops.
+    fn run_both(
+        cfg: SystemConfig,
+        bench: BenchmarkId,
+    ) -> (Result<RunResult, SimError>, Result<RunResult, SimError>) {
+        let sys = || System::new(cfg.clone(), build(bench, Scale::Small, 0xC0FFEE));
+        (sys().try_run(), sys().try_run_per_event())
+    }
+
+    /// `RunResult`'s equality is exact (f64 fields and the `events` count
+    /// included), so batching may neither change a simulated result nor
+    /// create or lose a single event, in any cell.
+    #[test]
+    fn every_cell_is_bit_identical_across_loops() {
+        for bench in BenchmarkId::ALL {
+            for sched in SchedulerKind::EXTENDED {
+                let cfg = SystemConfig::paper_baseline().with_scheduler(sched);
+                let (batched, per_event) = run_both(cfg, bench);
+                let batched = batched.unwrap_or_else(|e| panic!("{bench}/{sched:?}: {e}"));
+                assert_eq!(Ok(batched), per_event, "{bench}/{sched:?}");
+            }
+        }
+    }
+
+    /// The slow path reports the exact abort of the per-event loop: same
+    /// event count, cycle and snapshot.
+    #[test]
+    fn budget_error_is_identical_across_loops() {
+        let mut cfg = SystemConfig::paper_baseline();
+        cfg.max_events = 1_000;
+        let (batched, per_event) = run_both(cfg, BenchmarkId::Mvt);
+        assert!(
+            matches!(
+                batched,
+                Err(SimError::EventBudgetExhausted { events: 1_001, .. })
+            ),
+            "budget trips on the first event past it: {batched:?}"
+        );
+        assert_eq!(batched, per_event);
+    }
+
+    #[test]
+    fn injected_livelock_trips_the_watchdog_identically_across_loops() {
+        let cfg = SystemConfig::paper_baseline()
+            .with_watchdog(WatchdogConfig {
+                check_events: 500,
+                stall_epochs: 3,
+            })
+            .with_fault(FaultInjection::livelock_at(2_000));
+        let (batched, per_event) = run_both(cfg, BenchmarkId::Mvt);
+        assert!(
+            matches!(batched, Err(SimError::Livelock { .. })),
+            "{batched:?}"
+        );
+        assert_eq!(batched, per_event);
+    }
+
     #[test]
     fn event_stays_within_its_copy_budget() {
         // Mirrors the const assert above so the budget shows up in test
@@ -1277,34 +1170,40 @@ mod tests {
 
     #[test]
     fn sharded_mixed_page_topology_runs_end_to_end() {
-        let cfg = SystemConfig::paper_baseline()
-            .with_scheduler(SchedulerKind::SimtAware)
-            .with_topology(2, 2)
-            .with_large_page_permille(500);
-        let w = ptw_workloads::build_with_large_pages(BenchmarkId::Mvt, Scale::Small, 1, 500);
-        let r = System::new(cfg, w).run();
-        assert!(r.metrics.cycles > 0);
-        assert_eq!(r.per_iommu_walks.len(), 2);
-        assert_eq!(
-            r.per_iommu_walks.iter().sum::<u64>(),
-            r.iommu.walks_performed
-        );
-        // Interleaved VA sharding spreads MVT's divergent rows over both
-        // IOMMUs...
-        assert!(
-            r.per_iommu_walks.iter().all(|&w| w > 0),
-            "an IOMMU sat idle: {:?}",
-            r.per_iommu_walks
-        );
-        assert!(r.iommu_imbalance >= 1.0);
-        // ...and half the eligible regions are 2 MiB, so large-page walks
-        // and GPU large-TLB hits both appear.
-        assert!(r.iommu.large_walks_performed > 0, "no 2M walk performed");
-        assert!(r.gpu_tlb_large_hits > 0, "no 2M GPU TLB hit");
-        assert!(
-            r.iommu.large_walks_performed < r.iommu.walks_performed,
-            "4K walks vanished"
-        );
+        for sched in [SchedulerKind::Fcfs, SchedulerKind::SimtAware] {
+            let cfg = SystemConfig::paper_baseline()
+                .with_scheduler(sched)
+                .with_topology(2, 2)
+                .with_large_page_permille(500);
+            let w = ptw_workloads::build_with_large_pages(BenchmarkId::Mvt, Scale::Small, 1, 500);
+            let r = System::new(cfg, w).run();
+            assert!(r.metrics.cycles > 0, "{sched:?}");
+            assert_eq!(r.per_iommu_walks.len(), 2, "{sched:?}");
+            assert_eq!(
+                r.per_iommu_walks.iter().sum::<u64>(),
+                r.iommu.walks_performed,
+                "{sched:?}"
+            );
+            // Interleaved VA sharding spreads MVT's divergent rows over
+            // both IOMMUs...
+            assert!(
+                r.per_iommu_walks.iter().all(|&w| w > 0),
+                "{sched:?}: an IOMMU sat idle: {:?}",
+                r.per_iommu_walks
+            );
+            assert!(r.iommu_imbalance >= 1.0, "{sched:?}");
+            // ...and half the eligible regions are 2 MiB, so large-page
+            // walks and GPU large-TLB hits both appear.
+            assert!(
+                r.iommu.large_walks_performed > 0,
+                "{sched:?}: no 2M walk performed"
+            );
+            assert!(r.gpu_tlb_large_hits > 0, "{sched:?}: no 2M GPU TLB hit");
+            assert!(
+                r.iommu.large_walks_performed < r.iommu.walks_performed,
+                "{sched:?}: 4K walks vanished"
+            );
+        }
     }
 
     #[test]

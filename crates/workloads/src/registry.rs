@@ -29,7 +29,7 @@ pub enum Scale {
     /// for regenerating figures.
     #[default]
     Medium,
-    /// Minimal footprints for CI and Criterion benches.
+    /// Minimal footprints for tests, CI and the bench smoke.
     Small,
 }
 

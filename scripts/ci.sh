@@ -82,38 +82,18 @@ else
     --jobs "${CI_BENCH_JOBS:-1}" --quiet
 fi
 
-echo "== topology smoke (2x2 IOMMU sharding with mixed 4K/2M pages)"
-# End-to-end exercise of the multi-IOMMU path: a 2x2 shard topology with
-# half the eligible 2 MiB regions promoted must actually perform large
-# walks and must send traffic to every IOMMU.
-topo_out="$(mktemp)"
-trap 'rm -f "$smoke_out" "$proc_out" "$topo_out"' EXIT
-./target/release/ptw-bench --scale small --reps 1 --policies fcfs \
-  --topology 2x2 --large-page-frac 500 --quiet >"$topo_out" 2>&1
-topo_line="$(grep 'topology-smoke:' "$topo_out")" || {
-  echo "FAIL: no topology-smoke summary line"
-  cat "$topo_out"
-  exit 1
-}
-large_walks="$(sed -n 's/.*large_walks=\([0-9]*\).*/\1/p' <<<"$topo_line")"
-min_iommu="$(sed -n 's/.*min_iommu_walks=\([0-9]*\).*/\1/p' <<<"$topo_line")"
-if [[ -z "$large_walks" || "$large_walks" -eq 0 ]]; then
-  echo "FAIL: mixed-page-size run performed no 2M walks: $topo_line"
-  exit 1
-fi
-if [[ -z "$min_iommu" || "$min_iommu" -eq 0 ]]; then
-  echo "FAIL: an IOMMU shard received no walks: $topo_line"
-  exit 1
-fi
-echo "$topo_line"
-
 echo "== workspace unit tests (every crate's lib tests)"
 # Tier-1 runs only the root package's integration tests. The randomized
-# oracles live in the crates' unit tests: the shared U64Map against a std
-# HashMap (ptw-types), the packed AssocArray, DRAM pick and keyed MSHR
-# (ptw-mem, DESIGN.md §10/§13/§14), the candidate index, scheduler and
-# IOMMU (ptw-core), the config, supervisor, wire and checkpoint codecs
-# (ptw-sim), and the page-table, TLB, GPU and workload unit tests.
+# oracles and test-only references live in the crates' unit tests: the
+# shared U64Map against a std HashMap (ptw-types); the packed AssocArray,
+# the keyed MSHR, and the DRAM controller's carried pick against the
+# legacy whole-queue scan over seeded submit/advance streams (ptw-mem,
+# DESIGN.md §10/§13/§14); the candidate index, scheduler and IOMMU
+# (ptw-core); the batched run loop against the per-event reference loop on
+# every small benchmark and policy plus its budget and watchdog aborts, the
+# 2x2 mixed-page topology under FCFS and SIMT-aware, and the config,
+# supervisor, wire and checkpoint codecs (ptw-sim); and the page-table,
+# TLB, GPU and workload unit tests.
 cargo test -q --workspace --lib
 
 echo "CI OK"

@@ -297,9 +297,9 @@ fn hot_paths_do_not_allocate() {
     // Measured: the same shape on a fresh page touches translate (buffer
     // push + index update), walker start (indexed selection + page-chain
     // blocking), and the multi-entry piggyback drain — zero allocations.
-    // This shape is exactly what `System` packs into one fused
-    // `TranslationDoneBatch` event: the walker's own completion plus its
-    // piggybacked merges, all sharing a completion time.
+    // This shape is one finished walk's fan-out in `System`: the walker's
+    // own completion plus its piggybacked merges, all sharing a
+    // completion time, each scheduled as its own `TranslationDone`.
     let hot_page = VirtPage::new(13 << 9);
     assert_no_alloc(
         "completion fan-out (translate, select, piggyback drain)",

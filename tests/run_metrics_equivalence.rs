@@ -12,7 +12,8 @@
 //! number of queue pops is simulation cost, not simulated behavior, and
 //! replacing polled `MemTick` events with next-completion-time scheduling
 //! legitimately removes superseded ticks without touching any simulated
-//! outcome.
+//! outcome. Scheduling one walk's same-cycle starts or completions as
+//! one batch event or as one event each moves the count the same way.
 //!
 //! Floats are recorded via `f64::to_bits` so "equal" means bit-identical,
 //! not approximately close.
