@@ -6,46 +6,45 @@
 //! run to a file, flushed per record, so a rerun of `figures --resume`
 //! reloads every finished cell and re-executes only what is missing.
 //!
-//! # Format
+//! # Format (v4)
 //!
 //! Line 1 is a header binding the file to a `(version, scale, seed)`
 //! triple; a mismatched header discards the stale content (results from a
 //! different scale or seed are not reusable). Every further line is one
-//! flat JSON object holding a cell key (`"KMN|FCFS|baseline"`) and every
-//! field of its [`RunResult`]. `f64` fields are stored as their IEEE-754
-//! bit patterns (`f64::to_bits`) so a resumed result is **bit-identical**
-//! to the original run — decimal text would round.
+//! flat line (`crate::flat`) holding a cell key (`"KMN|FCFS|baseline"`),
+//! the digest of the cell's spec, and every field of its [`RunResult`]
+//! under its field path (`metrics.cycles`, `mem.row_hits`, …). `f64`
+//! fields are stored as their IEEE-754 bit patterns, so a resumed result
+//! is **bit-identical** to the original run.
 //!
-//! A torn final line (the process died mid-write) fails to parse and is
-//! simply skipped; every earlier line is intact because records are
+//! The spec digest is the FNV-1a hash of the `crate::wire` encoding of the
+//! cell's [`RunSpec`](crate::RunSpec) without any injected fault. A record
+//! whose digest differs from the current spec of its key was produced by
+//! another configuration; it is skipped and its cell re-runs.
+//!
+//! A torn final line (the process died mid-write) has no `\n`; it is
+//! skipped and cut off before the next append, so that append starts a
+//! line of its own. Every earlier line is intact because records are
 //! flushed whole.
-//!
-//! Everything here is hand-rolled over `std` — the repo builds offline
-//! with zero third-party dependencies, so no serde. Lines are read with
-//! `crate::json`, whose integral literals are exact `u64`s.
 
 use std::fs::{File, OpenOptions};
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 
 use ptw_core::sched::SchedulerKind;
-use ptw_core::IommuStats;
-use ptw_mem::controller::MemStats;
-use ptw_types::stats::BucketHistogram;
 use ptw_workloads::{BenchmarkId, Scale};
 
+use crate::flat::{self, parse_flat_json, Flat};
 use crate::json::Value;
-use crate::metrics::RunMetrics;
-use crate::runner::ConfigVariant;
+use crate::runner::{cell_spec, ConfigVariant};
 use crate::system::RunResult;
 
 /// Checkpoint format version (bump on any encoding change).
 ///
-/// v2 added the topology fields: per-IOMMU walk counts, the imbalance
-/// ratio, the per-page-size IOMMU counters, and GPU large-page TLB hits.
-/// v3 added the DRAM occupancy counters: peak/time-weighted queue depth
-/// and busy-bank occupancy plus the observed-cycle integral base.
-const VERSION: u64 = 3;
+/// v2 added the topology fields, v3 the DRAM occupancy counters. v4 keys
+/// every field by its path from the one schema in `crate::flat` and binds
+/// each record to its cell's spec digest.
+const VERSION: u64 = 4;
 
 /// One sweep cell's identity.
 pub type CellKey = (BenchmarkId, SchedulerKind, ConfigVariant);
@@ -55,6 +54,8 @@ pub type CellKey = (BenchmarkId, SchedulerKind, ConfigVariant);
 pub struct SweepCheckpoint {
     path: PathBuf,
     file: File,
+    scale: Scale,
+    seed: u64,
 }
 
 impl SweepCheckpoint {
@@ -63,8 +64,8 @@ impl SweepCheckpoint {
     ///
     /// A missing file is created with a fresh header. A file whose header
     /// names a different version, scale or seed is truncated — its results
-    /// are not reusable. Malformed record lines (e.g. a torn final write)
-    /// are skipped.
+    /// are not reusable. Malformed record lines and records bound to
+    /// another spec are skipped; a torn final line is cut off.
     pub fn open(
         path: impl Into<PathBuf>,
         scale: Scale,
@@ -72,22 +73,24 @@ impl SweepCheckpoint {
     ) -> io::Result<(Self, Vec<(CellKey, RunResult)>)> {
         let path = path.into();
         let mut loaded = Vec::new();
-        let mut keep = false;
+        let mut kept = None;
         if let Ok(content) = std::fs::read_to_string(&path) {
-            let mut lines = content.lines();
+            // Only whole lines count: a torn tail without `\n` is dropped.
+            let whole = &content[..content.rfind('\n').map_or(0, |i| i + 1)];
+            let mut lines = whole.lines();
             if lines.next().is_some_and(|h| header_matches(h, scale, seed)) {
-                keep = true;
-                for line in lines {
-                    if let Some(entry) = decode_record(line) {
-                        loaded.push(entry);
-                    }
-                }
+                kept = Some(whole.len() as u64);
+                loaded.extend(lines.filter_map(|line| {
+                    let (key, digest, result) = decode_record(line)?;
+                    (digest == spec_digest(key, scale, seed)).then_some((key, result))
+                }));
             }
         }
-        let file = if keep {
-            OpenOptions::new().append(true).open(&path)?
+        let file = if let Some(len) = kept {
+            let f = OpenOptions::new().append(true).open(&path)?;
+            f.set_len(len)?;
+            f
         } else {
-            loaded.clear();
             let mut f = File::create(&path)?;
             writeln!(
                 f,
@@ -97,7 +100,13 @@ impl SweepCheckpoint {
             f.flush()?;
             f
         };
-        Ok((SweepCheckpoint { path, file }, loaded))
+        let checkpoint = SweepCheckpoint {
+            path,
+            file,
+            scale,
+            seed,
+        };
+        Ok((checkpoint, loaded))
     }
 
     /// The file this checkpoint persists to.
@@ -108,10 +117,9 @@ impl SweepCheckpoint {
     /// Appends one completed cell, flushed **and fsynced** before
     /// returning: once this call returns, the record survives not just a
     /// process crash but a host power loss. A crash mid-append can lose at
-    /// most the in-flight line, which the torn-line skip in
-    /// [`open`](Self::open) tolerates.
+    /// most the in-flight line, which [`open`](Self::open) cuts off.
     pub fn append(&mut self, key: CellKey, result: &RunResult) -> io::Result<()> {
-        let line = encode_record(key, result);
+        let line = encode_record(key, spec_digest(key, self.scale, self.seed), result);
         writeln!(self.file, "{line}")?;
         self.file.flush()?;
         self.file.sync_data()
@@ -125,6 +133,14 @@ fn header_matches(line: &str, scale: Scale, seed: u64) -> bool {
     fields.get("v").and_then(Value::as_u64) == Some(VERSION)
         && fields.get("scale").and_then(Value::as_str) == Some(scale.label())
         && fields.get("seed").and_then(Value::as_u64) == Some(seed)
+}
+
+/// FNV-1a of the wire encoding of `key`'s spec at `(scale, seed)`.
+fn spec_digest(key: CellKey, scale: Scale, seed: u64) -> u64 {
+    let line = crate::wire::encode_spec(&cell_spec(key, scale, seed));
+    line.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
 }
 
 /// Serializes `key` for the record line: `"KMN|FCFS|baseline"`.
@@ -143,206 +159,26 @@ fn decode_key(s: &str) -> Option<CellKey> {
     Some((benchmark, scheduler, variant))
 }
 
-fn encode_record(key: CellKey, r: &RunResult) -> String {
-    format!(
-        "{{\"key\":\"{}\",{}}}",
-        encode_key(key),
-        encode_result_fields(r)
-    )
+fn encode_record(key: CellKey, digest: u64, r: &RunResult) -> String {
+    let head = format!("\"key\":\"{}\",\"spec\":{digest},", encode_key(key));
+    flat::line(&head, r)
 }
 
-/// Serializes every field of a [`RunResult`] as the comma-joined members
-/// of a flat JSON object (no surrounding braces). Shared between the
-/// checkpoint record line and the worker wire protocol
-/// (`crate::wire`), so both persist results bit-identically.
-pub(crate) fn encode_result_fields(r: &RunResult) -> String {
-    let m = &r.metrics;
-    let io = &r.iommu;
-    let mem = &r.mem;
-    let arr = |xs: &[u64]| -> String {
-        let items: Vec<String> = xs.iter().map(u64::to_string).collect();
-        format!("[{}]", items.join(","))
-    };
-    format!(
-        concat!(
-            "\"cycles\":{cycles},\"instructions\":{instructions},",
-            "\"cu_stall_cycles\":{cu_stall},\"walk_requests\":{walk_reqs},",
-            "\"walks_performed\":{walks},",
-            "\"hist_edges\":{edges},\"hist_counts\":{counts},",
-            "\"hist_overflow\":{overflow},\"hist_total\":{total},",
-            "\"interleaved_bits\":{interleaved},\"first_bits\":{first},",
-            "\"last_bits\":{last},\"gap_bits\":{gap},\"epoch_wf_bits\":{epoch},",
-            "\"l2_tlb_accesses\":{l2acc},\"instructions_with_walks\":{iww},",
-            "\"multi_walk_instructions\":{mwi},",
-            "\"io_walk_requests\":{io_wr},\"io_walks_performed\":{io_wp},",
-            "\"io_merged\":{io_m},\"io_accesses\":{io_a},",
-            "\"io_peak_pending\":{io_pp},\"io_latency\":{io_l},",
-            "\"io_completed\":{io_c},",
-            "\"io_large_walks\":{io_lw},\"io_large_completed\":{io_lc},",
-            "\"io_large_latency\":{io_ll},",
-            "\"per_iommu_walks\":{per_io},\"imbalance_bits\":{imb},",
-            "\"gpu_large_hits\":{glh},",
-            "\"mem_data\":{mem_d},\"mem_walk\":{mem_w},",
-            "\"mem_row_hits\":{mem_rh},\"mem_row_conflicts\":{mem_rc},",
-            "\"mem_latency\":{mem_l},\"mem_completed\":{mem_c},",
-            "\"mem_peak_depth\":{mem_pd},\"mem_peak_banks\":{mem_pb},",
-            "\"mem_depth_cycles\":{mem_dc},\"mem_bank_cycles\":{mem_bc},",
-            "\"mem_obs_cycles\":{mem_oc},",
-            "\"l1_tlb_bits\":{l1t},\"l2_tlb_bits\":{l2t},",
-            "\"l1_cache_bits\":{l1c},\"l2_cache_bits\":{l2c},",
-            "\"events\":{events},\"spread_bits\":{spread}"
-        ),
-        cycles = m.cycles,
-        instructions = m.instructions,
-        cu_stall = m.cu_stall_cycles,
-        walk_reqs = m.walk_requests,
-        walks = m.walks_performed,
-        edges = arr(m.work_hist.edges()),
-        counts = arr(m.work_hist.counts()),
-        overflow = m.work_hist.overflow(),
-        total = m.work_hist.total(),
-        interleaved = m.interleaved_fraction.to_bits(),
-        first = m.mean_first_latency.to_bits(),
-        last = m.mean_last_latency.to_bits(),
-        gap = m.mean_latency_gap.to_bits(),
-        epoch = m.mean_epoch_wavefronts.to_bits(),
-        l2acc = m.l2_tlb_accesses,
-        iww = m.instructions_with_walks,
-        mwi = m.multi_walk_instructions,
-        io_wr = io.walk_requests,
-        io_wp = io.walks_performed,
-        io_m = io.merged_completions,
-        io_a = io.total_walk_accesses,
-        io_pp = io.peak_pending,
-        io_l = io.total_walk_latency,
-        io_c = io.completed_requests,
-        io_lw = io.large_walks_performed,
-        io_lc = io.large_completed_requests,
-        io_ll = io.large_total_walk_latency,
-        per_io = arr(&r.per_iommu_walks),
-        imb = r.iommu_imbalance.to_bits(),
-        glh = r.gpu_tlb_large_hits,
-        mem_d = mem.data_requests,
-        mem_w = mem.walk_requests,
-        mem_rh = mem.row_hits,
-        mem_rc = mem.row_conflicts,
-        mem_l = mem.total_latency,
-        mem_c = mem.completed,
-        mem_pd = mem.peak_queue_depth,
-        mem_pb = mem.peak_busy_banks,
-        mem_dc = mem.queue_depth_cycles,
-        mem_bc = mem.busy_bank_cycles,
-        mem_oc = mem.observed_cycles,
-        l1t = r.gpu_l1_tlb_hit_rate.to_bits(),
-        l2t = r.gpu_l2_tlb_hit_rate.to_bits(),
-        l1c = r.l1_cache_hit_rate.to_bits(),
-        l2c = r.l2_cache_hit_rate.to_bits(),
-        events = r.events,
-        spread = r.finish_spread.to_bits(),
-    )
-}
-
-fn decode_record(line: &str) -> Option<(CellKey, RunResult)> {
+fn decode_record(line: &str) -> Option<(CellKey, u64, RunResult)> {
     let fields = parse_flat_json(line)?;
     let key = decode_key(fields.get("key")?.as_str()?)?;
-    Some((key, decode_result_fields(&fields)?))
-}
-
-/// Reconstructs a [`RunResult`] from the flat fields written by
-/// [`encode_result_fields`]; the inverse half of the shared codec.
-pub(crate) fn decode_result_fields(fields: &Value) -> Option<RunResult> {
-    let u = |name: &str| -> Option<u64> { fields.get(name)?.as_u64() };
-    let f = |name: &str| -> Option<f64> { Some(f64::from_bits(fields.get(name)?.as_u64()?)) };
-    let a = |name: &str| -> Option<Vec<u64>> { u64s(fields.get(name)?) };
-    let work_hist = BucketHistogram::from_parts(
-        a("hist_edges")?,
-        a("hist_counts")?,
-        u("hist_overflow")?,
-        u("hist_total")?,
-    )?;
-    let metrics = RunMetrics {
-        cycles: u("cycles")?,
-        instructions: u("instructions")?,
-        cu_stall_cycles: u("cu_stall_cycles")?,
-        walk_requests: u("walk_requests")?,
-        walks_performed: u("walks_performed")?,
-        work_hist,
-        interleaved_fraction: f("interleaved_bits")?,
-        mean_first_latency: f("first_bits")?,
-        mean_last_latency: f("last_bits")?,
-        mean_latency_gap: f("gap_bits")?,
-        mean_epoch_wavefronts: f("epoch_wf_bits")?,
-        l2_tlb_accesses: u("l2_tlb_accesses")?,
-        instructions_with_walks: u("instructions_with_walks")?,
-        multi_walk_instructions: u("multi_walk_instructions")?,
-    };
-    let iommu = IommuStats {
-        walk_requests: u("io_walk_requests")?,
-        walks_performed: u("io_walks_performed")?,
-        merged_completions: u("io_merged")?,
-        total_walk_accesses: u("io_accesses")?,
-        peak_pending: usize::try_from(u("io_peak_pending")?).ok()?,
-        total_walk_latency: u("io_latency")?,
-        completed_requests: u("io_completed")?,
-        large_walks_performed: u("io_large_walks")?,
-        large_completed_requests: u("io_large_completed")?,
-        large_total_walk_latency: u("io_large_latency")?,
-    };
-    let mem = MemStats {
-        data_requests: u("mem_data")?,
-        walk_requests: u("mem_walk")?,
-        row_hits: u("mem_row_hits")?,
-        row_conflicts: u("mem_row_conflicts")?,
-        total_latency: u("mem_latency")?,
-        completed: u("mem_completed")?,
-        peak_queue_depth: u("mem_peak_depth")?,
-        peak_busy_banks: u("mem_peak_banks")?,
-        queue_depth_cycles: u("mem_depth_cycles")?,
-        busy_bank_cycles: u("mem_bank_cycles")?,
-        observed_cycles: u("mem_obs_cycles")?,
-    };
-    Some(RunResult {
-        metrics,
-        iommu,
-        per_iommu_walks: a("per_iommu_walks")?,
-        iommu_imbalance: f("imbalance_bits")?,
-        gpu_tlb_large_hits: u("gpu_large_hits")?,
-        mem,
-        gpu_l1_tlb_hit_rate: f("l1_tlb_bits")?,
-        gpu_l2_tlb_hit_rate: f("l2_tlb_bits")?,
-        l1_cache_hit_rate: f("l1_cache_bits")?,
-        l2_cache_hit_rate: f("l2_cache_bits")?,
-        events: u("events")?,
-        finish_spread: f("spread_bits")?,
-    })
-}
-
-/// Parses one checkpoint or wire line: a JSON object whose members are
-/// all unsigned integers, strings, or arrays of unsigned integers.
-/// Integers decode as exact `u64`s, so `f64::to_bits` patterns survive.
-/// Returns `None` on any deviation — a malformed line is skipped, not
-/// guessed at.
-pub(crate) fn parse_flat_json(line: &str) -> Option<Value> {
-    let flat = |v: &Value| match v {
-        Value::U64(_) | Value::Str(_) => true,
-        Value::Arr(xs) => xs.iter().all(|x| matches!(x, Value::U64(_))),
-        _ => false,
-    };
-    match Value::parse(line)? {
-        Value::Obj(members) if members.iter().all(|(_, v)| flat(v)) => Some(Value::Obj(members)),
-        _ => None,
-    }
-}
-
-/// The elements of a flat `u64` array member.
-pub(crate) fn u64s(v: &Value) -> Option<Vec<u64>> {
-    v.as_arr()?.iter().map(Value::as_u64).collect()
+    let digest = fields.get("spec")?.as_u64()?;
+    Some((key, digest, RunResult::take(&fields, "")?))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metrics::RunMetrics;
+    use ptw_core::IommuStats;
+    use ptw_mem::controller::MemStats;
     use ptw_types::rng::SplitMix64;
+    use ptw_types::stats::BucketHistogram;
 
     fn synthetic_result(rng: &mut SplitMix64) -> RunResult {
         let mut hist = BucketHistogram::new(&crate::metrics::WORK_BUCKETS);
@@ -413,11 +249,18 @@ mod tests {
         for kind in [SchedulerKind::Fcfs, SchedulerKind::SimtAware] {
             let key = (BenchmarkId::Kmn, kind, ConfigVariant::Baseline);
             let result = synthetic_result(&mut rng);
-            let line = encode_record(key, &result);
-            let (k2, r2) = decode_record(&line).expect("roundtrip parse");
-            assert_eq!(k2, key);
+            let line = encode_record(key, 7, &result);
+            let (k2, digest, r2) = decode_record(&line).expect("roundtrip parse");
+            assert_eq!((k2, digest), (key, 7));
             assert_eq!(r2, result, "RunResult must round-trip exactly");
         }
+    }
+
+    #[test]
+    fn every_record_member_is_needed_and_read_back() {
+        let key = (BenchmarkId::Nw, SchedulerKind::Fcfs, ConfigVariant::MemFcfs);
+        let line = encode_record(key, 7, &synthetic_result(&mut SplitMix64::new(17)));
+        flat::assert_every_member_is_needed(&line, decode_record);
     }
 
     #[test]
@@ -472,6 +315,88 @@ mod tests {
     }
 
     #[test]
+    fn record_appended_after_a_torn_tail_survives() {
+        let path = temp_path("torn-append");
+        let _ = std::fs::remove_file(&path);
+        let mut rng = SplitMix64::new(13);
+        let a = (
+            BenchmarkId::Atx,
+            SchedulerKind::Fcfs,
+            ConfigVariant::Baseline,
+        );
+        let b = (
+            BenchmarkId::Nw,
+            SchedulerKind::SimtAware,
+            ConfigVariant::BigTlb,
+        );
+        let (ra, rb) = (synthetic_result(&mut rng), synthetic_result(&mut rng));
+        {
+            let (mut cp, _) = SweepCheckpoint::open(&path, Scale::Small, 1).expect("create");
+            cp.append(a, &ra).expect("append A");
+        }
+        let mut content = std::fs::read_to_string(&path).expect("read");
+        content.push_str("{\"key\":\"KMN|FCFS|base");
+        std::fs::write(&path, content).expect("tear the tail");
+        {
+            let (mut cp, loaded) = SweepCheckpoint::open(&path, Scale::Small, 1).expect("reopen");
+            assert_eq!(loaded.len(), 1);
+            cp.append(b, &rb).expect("append B");
+        }
+        let (_cp, loaded) = SweepCheckpoint::open(&path, Scale::Small, 1).expect("reload");
+        assert_eq!(loaded, vec![(a, ra), (b, rb)], "B starts a line of its own");
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn record_bound_to_another_spec_is_not_loaded() {
+        let path = temp_path("spec-bound");
+        let _ = std::fs::remove_file(&path);
+        let mut rng = SplitMix64::new(15);
+        let keys = [
+            (
+                BenchmarkId::Mvt,
+                SchedulerKind::Fcfs,
+                ConfigVariant::Baseline,
+            ),
+            (
+                BenchmarkId::Mvt,
+                SchedulerKind::SimtAware,
+                ConfigVariant::Baseline,
+            ),
+            (
+                BenchmarkId::Gev,
+                SchedulerKind::Fcfs,
+                ConfigVariant::NoPinning,
+            ),
+        ];
+        let results: Vec<RunResult> = keys.iter().map(|_| synthetic_result(&mut rng)).collect();
+        {
+            let (mut cp, _) = SweepCheckpoint::open(&path, Scale::Small, 3).expect("create");
+            for (&key, result) in keys.iter().zip(&results) {
+                cp.append(key, result).expect("append");
+            }
+        }
+        // Alter the digest of the second record only.
+        let content = std::fs::read_to_string(&path).expect("read");
+        let mut lines: Vec<String> = content.lines().map(str::to_owned).collect();
+        let digest = spec_digest(keys[1], Scale::Small, 3);
+        let member = format!("\"spec\":{digest},");
+        assert!(lines[2].contains(&member), "{}", lines[2]);
+        lines[2] = lines[2].replace(&member, &format!("\"spec\":{},", digest ^ 1));
+        std::fs::write(&path, lines.join("\n") + "\n").expect("write");
+        let (_cp, loaded) = SweepCheckpoint::open(&path, Scale::Small, 3).expect("reopen");
+        let expected = vec![(keys[0], results[0].clone()), (keys[2], results[2].clone())];
+        assert_eq!(
+            loaded, expected,
+            "the altered record re-runs, the others load"
+        );
+        // The digest tells keys and seeds apart.
+        assert_ne!(spec_digest(keys[0], Scale::Small, 3), digest);
+        assert_ne!(spec_digest(keys[1], Scale::Small, 4), digest);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
     fn v1_header_is_truncated_and_rerun() {
         // Pins the current codec behavior: a file written by the v1 codec
         // (no topology fields) must be discarded wholesale under --resume,
@@ -488,7 +413,7 @@ mod tests {
         let v1_line = {
             // A v1-era record: same key, no per-IOMMU fields. Even if it
             // decoded, its values must never be trusted under v2.
-            let full = encode_record(key, &result);
+            let full = encode_record(key, spec_digest(key, Scale::Small, 5), &result);
             full.replace(",\"per_iommu_walks\":", ",\"v1_walks\":")
         };
         std::fs::write(
@@ -506,9 +431,39 @@ mod tests {
         assert_eq!(loaded[0].1, result);
         let content = std::fs::read_to_string(&path).expect("read");
         assert!(
-            content.starts_with("{\"v\":3,"),
+            content.starts_with("{\"v\":4,"),
             "header rewritten to the current version: {content:?}"
         );
+
+        // A v3 file (flat `cycles`, `io_*`, `mem_*` keys, no spec digest)
+        // is discarded the same way.
+        const V3_RECORD: &str = concat!(
+            "{\"key\":\"MVT|FCFS|baseline\",\"cycles\":510596,\"instructions\":960,",
+            "\"cu_stall_cycles\":3776459,\"walk_requests\":10382,\"walks_performed\":10356,",
+            "\"hist_edges\":[16,32,48,64,80,256],\"hist_counts\":[409,151,51,18,16,0],",
+            "\"hist_overflow\":0,\"hist_total\":645,\"interleaved_bits\":4604029899060858061,",
+            "\"first_bits\":4661921383250387369,\"last_bits\":4663813954290084401,",
+            "\"gap_bits\":4656717250150705835,\"epoch_wf_bits\":4623197374371485767,",
+            "\"l2_tlb_accesses\":30391,\"instructions_with_walks\":645,",
+            "\"multi_walk_instructions\":540,\"io_walk_requests\":10382,",
+            "\"io_walks_performed\":10356,\"io_merged\":26,\"io_accesses\":10389,",
+            "\"io_peak_pending\":897,\"io_latency\":61610186,\"io_completed\":10382,",
+            "\"io_large_walks\":0,\"io_large_completed\":0,\"io_large_latency\":0,",
+            "\"per_iommu_walks\":[10356],\"imbalance_bits\":4607182418800017408,",
+            "\"gpu_large_hits\":0,\"mem_data\":7809,\"mem_walk\":10389,\"mem_row_hits\":7617,",
+            "\"mem_row_conflicts\":10581,\"mem_latency\":119555326,\"mem_completed\":18198,",
+            "\"mem_peak_depth\":991,\"mem_peak_banks\":29,\"mem_depth_cycles\":118150222,",
+            "\"mem_bank_cycles\":999345,\"mem_obs_cycles\":510556,",
+            "\"l1_tlb_bits\":4599041072356118803,\"l2_tlb_bits\":4603528384394709860,",
+            "\"l1_cache_bits\":0,\"l2_cache_bits\":4605629734447554884,\"events\":208141,",
+            "\"spread_bits\":4607684915406009883}",
+        );
+        let v3_file = format!("{{\"v\":3,\"scale\":\"small\",\"seed\":12648430}}\n{V3_RECORD}\n");
+        std::fs::write(&path, v3_file).expect("write v3 file");
+        let (_cp, loaded) = SweepCheckpoint::open(&path, Scale::Small, 12_648_430).expect("v3");
+        assert!(loaded.is_empty(), "v3 contents discarded, not decoded");
+        let content = std::fs::read_to_string(&path).expect("read");
+        assert_eq!(content, "{\"v\":4,\"scale\":\"small\",\"seed\":12648430}\n");
         let _ = std::fs::remove_file(&path);
     }
 
@@ -550,7 +505,7 @@ mod tests {
             SchedulerKind::Fcfs,
             ConfigVariant::Baseline,
         );
-        let line = encode_record(key, &synthetic_result(&mut SplitMix64::new(3)));
+        let line = encode_record(key, 1, &synthetic_result(&mut SplitMix64::new(3)));
         assert!(decode_record(&line).is_some());
         let open = line.strip_suffix('}').expect("an object");
         for extra in [
@@ -574,7 +529,7 @@ mod tests {
             SchedulerKind::Fcfs,
             ConfigVariant::Baseline,
         );
-        let (_, back) = decode_record(&encode_record(key, &result)).expect("roundtrip parse");
+        let (_, _, back) = decode_record(&encode_record(key, 1, &result)).expect("roundtrip parse");
         let bits = |r: &RunResult| {
             let m = &r.metrics;
             [

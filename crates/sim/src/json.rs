@@ -2,14 +2,15 @@
 //!
 //! The repo builds offline with zero third-party dependencies, so JSON is
 //! read with this hand-rolled parser instead of serde: the `BENCH_*.json`
-//! files the `ptw-bench` harness writes, the sweep checkpoint's lines
-//! (`crate::checkpoint`) and the worker wire protocol (`crate::wire`). It
+//! files the `ptw-bench` harness writes, and the flat lines of the sweep
+//! checkpoint and the worker wire protocol, whose format and one schema
+//! `crate::flat` owns. It
 //! covers objects, arrays, strings, finite numbers, bools and null, and is
 //! deliberately strict about nothing else: unknown shapes simply return
 //! `None` from the typed getters.
 //!
 //! An integral literal without sign, fraction or exponent that fits a
-//! `u64` is held exactly as [`Value::U64`], so the checkpoint's
+//! `u64` is held exactly as [`Value::U64`], so the flat lines'
 //! `f64::to_bits` patterns survive up to `u64::MAX`. Every other number is
 //! an `f64`.
 

@@ -13,7 +13,8 @@
 //! * [`checkpoint`] — crash-safe JSONL persistence of sweep results;
 //! * [`figures`] — regeneration of every table and figure;
 //! * [`report`] — plain-text table rendering;
-//! * [`json`] — minimal JSON reader for the `BENCH_*.json` baselines;
+//! * [`json`] — minimal JSON reader (`BENCH_*.json` baselines, checkpoint
+//!   and wire lines);
 //! * [`out`] — broken-pipe-safe stdout for the CLI binaries.
 //!
 //! # Example: one run
@@ -38,6 +39,7 @@ pub mod config;
 pub mod engine;
 pub mod error;
 pub mod figures;
+mod flat;
 pub mod json;
 pub mod metrics;
 pub mod out;

@@ -87,6 +87,20 @@ pub fn run_benchmark(spec: &RunSpec) -> Result<RunResult, RunError> {
     Ok(System::try_new(cfg, workload)?.try_run()?)
 }
 
+/// The spec of sweep cell `key` at `(scale, seed)`, without any injected
+/// fault: the one mapping both [`Lab`] and the checkpoint's spec binding
+/// use.
+pub(crate) fn cell_spec(key: CellKey, scale: Scale, seed: u64) -> RunSpec {
+    let (benchmark, scheduler, variant) = key;
+    RunSpec {
+        benchmark,
+        scheduler,
+        scale,
+        seed,
+        config: variant.config(),
+    }
+}
+
 /// System variants used by the sensitivity studies.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum ConfigVariant {
@@ -285,21 +299,15 @@ impl Lab {
         lines.join("\n")
     }
 
+    /// `key`'s spec, with the injected fault if this is the faulted cell.
     fn spec_for(&self, key: CellKey) -> RunSpec {
-        let (benchmark, scheduler, variant) = key;
-        let mut config = variant.config();
+        let mut spec = cell_spec(key, self.scale, self.seed);
         if let Some((fault_key, fault)) = self.fault {
             if fault_key == key {
-                config = config.with_fault(fault);
+                spec.config.fault = Some(fault);
             }
         }
-        RunSpec {
-            benchmark,
-            scheduler,
-            scale: self.scale,
-            seed: self.seed,
-            config,
-        }
+        spec
     }
 
     fn persist(&mut self, key: CellKey, result: &RunResult) {

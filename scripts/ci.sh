@@ -67,6 +67,28 @@ if ./target/release/figures fig2 --scale small --quiet --isolation process \
   exit 1
 fi
 
+echo "== resume smoke (a process-isolated sweep's checkpoint resumes every cell in thread mode)"
+# The first run's workers send results over the wire codec and the
+# supervisor appends them with the checkpoint codec; the second run must
+# load every cell back, re-run none, and print the same rows.
+resume_file="$(mktemp)"
+resume_first="$(mktemp)"
+resume_second="$(mktemp)"
+trap 'rm -f "$smoke_out" "$proc_out" "$resume_file" "$resume_first" "$resume_second"' EXIT
+./target/release/figures fig2 --scale small --quiet --isolation process \
+    --resume "$resume_file" >"$resume_first"
+lines_before="$(wc -l <"$resume_file")"
+./target/release/figures fig2 --scale small --quiet --resume "$resume_file" >"$resume_second"
+cmp -s "$resume_first" "$resume_second" || {
+  echo "FAIL: the resumed sweep printed different rows"
+  diff "$resume_first" "$resume_second" || true
+  exit 1
+}
+[[ "$(wc -l <"$resume_file")" == "$lines_before" ]] || {
+  echo "FAIL: the resumed sweep re-ran cells ($lines_before checkpoint lines before, $(wc -l <"$resume_file") after)"
+  exit 1
+}
+
 echo "== bench smoke (events/sec vs committed BENCH_10.json, >20% regress fails)"
 # CI_BENCH_JOBS fans smoke cells across threads (0 = one per hardware
 # thread). Default stays 1: parallel cells contend for cache/bandwidth and
@@ -91,9 +113,11 @@ echo "== workspace unit tests (every crate's lib tests)"
 # DESIGN.md §10/§13/§14); the candidate index, scheduler and IOMMU
 # (ptw-core); the batched run loop against the per-event reference loop on
 # every small benchmark and policy plus its budget and watchdog aborts, the
-# 2x2 mixed-page topology under FCFS and SIMT-aware, and the config,
-# supervisor, wire and checkpoint codecs (ptw-sim); and the page-table,
-# TLB, GPU and workload unit tests.
+# 2x2 mixed-page topology under FCFS and SIMT-aware, the config and
+# supervisor, and the one flat-line schema (flat.rs) behind the wire and
+# checkpoint codecs, with every member of a spec and a result line
+# checked as needed and read back (ptw-sim); and the page-table, TLB, GPU
+# and workload unit tests.
 cargo test -q --workspace --lib
 
 echo "CI OK"
