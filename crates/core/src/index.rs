@@ -63,6 +63,11 @@
 //! integration tests (`tests/common/`), which compare the two pick by
 //! pick.
 //!
+//! Each entry or instruction a loop of the index visits (the page-chain
+//! and aging walks of `block_page`, the cursor advance, the
+//! instruction-chain walks, the active-instruction scans and the Random
+//! pick's walk) counts as one [`Work::IndexVisits`].
+//!
 //! # Update contract
 //!
 //! The owning [`Iommu`](crate::iommu::Iommu) must call, in order:
@@ -81,6 +86,7 @@ use std::collections::HashMap;
 
 use ptw_types::ids::InstrId;
 use ptw_types::map::U64Map;
+use ptw_types::work::{self, Work};
 
 use crate::buffer::WalkBuffer;
 
@@ -346,10 +352,12 @@ impl CandidateIndex {
         let aging = self.cursor_bypass > 0;
         let mut walk = self.win_tail;
         let mut suffix = 0u64;
+        let mut visits = 0;
         let mut cur = tail;
         while cur != NIL {
             let h = cur;
             cur = self.meta[h as usize].page_prev;
+            visits += 1;
             let m = self.meta[h as usize];
             if m.blocked {
                 continue;
@@ -359,6 +367,7 @@ impl CandidateIndex {
                 if aging {
                     loop {
                         suffix += u64::from(self.meta[walk as usize].tag);
+                        visits += 1;
                         let at = walk;
                         walk = buf.prev(walk).unwrap_or(NIL);
                         if at == h {
@@ -374,6 +383,7 @@ impl CandidateIndex {
                 self.advance_cursor(buf);
             }
         }
+        work::add(Work::IndexVisits, visits);
     }
 
     /// First half of a removal: updates every derived structure that needs
@@ -506,7 +516,9 @@ impl CandidateIndex {
     /// score buckets.
     pub fn sjf_pick(&self) -> Option<u32> {
         let s = self.buckets.min_score()?;
-        let best = self.buckets.lists[s as usize]
+        let bucket = &self.buckets.lists[s as usize];
+        work::add(Work::IndexVisits, bucket.len() as u64);
+        let best = bucket
             .iter()
             .min_by_key(|&&raw| self.instr[raw as usize].min_seq)
             .expect("occupied bucket is non-empty");
@@ -517,6 +529,7 @@ impl CandidateIndex {
     /// of the active instructions' max keys.
     pub fn heaviest_pick(&self) -> Option<u32> {
         let mut best: Option<(u32, u64, u32)> = None;
+        work::add(Work::IndexVisits, self.active.len() as u64);
         for &raw in &self.active {
             let a = &self.instr[raw as usize];
             let better = match best {
@@ -545,6 +558,7 @@ impl CandidateIndex {
         }
         let mut min_all = u32::MAX;
         let mut min_above = u32::MAX;
+        work::add(Work::IndexVisits, self.active.len() as u64);
         for &raw in &self.active {
             min_all = min_all.min(raw);
             if last.is_some_and(|l| raw > l) {
@@ -561,14 +575,17 @@ impl CandidateIndex {
     pub fn nth_eligible<W>(&self, buf: &WalkBuffer<W>, r: usize) -> u32 {
         debug_assert!(r < self.elig_count);
         let mut seen = 0usize;
+        let mut visits = 0;
         let mut cur = buf.first();
         while let Some(h) = cur {
             cur = buf.next(h);
             buf.prefetch(cur);
+            visits += 1;
             if self.meta[h as usize].blocked {
                 continue;
             }
             if seen == r {
+                work::add(Work::IndexVisits, visits);
                 return h;
             }
             seen += 1;
@@ -664,10 +681,13 @@ impl CandidateIndex {
     /// chain (guaranteed to exist: the aggregate count is non-zero).
     fn advance_chain<W>(&self, buf: &WalkBuffer<W>, handle: u32) -> u32 {
         let mut cur = buf.instr_next(handle);
+        let mut visits = 0;
         while let Some(h) = cur {
             let m = &self.meta[h as usize];
             debug_assert!(m.in_window, "younger candidate implies in-window");
+            visits += 1;
             if !m.blocked {
+                work::add(Work::IndexVisits, visits);
                 return h;
             }
             cur = buf.instr_next(h);
@@ -684,9 +704,11 @@ impl CandidateIndex {
         let old_key = a.min_score;
         let mut min: Option<(u32, u64, u32)> = None;
         let mut max: Option<(u32, u64, u32)> = None;
+        let mut visits = 0;
         let mut cur = Some(a.oldest);
         while let Some(h) = cur {
             cur = buf.instr_next(h);
+            visits += 1;
             if h == exclude {
                 continue;
             }
@@ -708,6 +730,7 @@ impl CandidateIndex {
                 max = Some((r.score, r.seq, h));
             }
         }
+        work::add(Work::IndexVisits, visits);
         let (ms, mq, mh) = min.expect("count > 0");
         let (xs, xq, xh) = max.expect("count > 0");
         let a = &mut self.instr[raw as usize];
@@ -727,10 +750,13 @@ impl CandidateIndex {
     /// it moves past from `cursor_bypass`.
     fn advance_cursor<W>(&mut self, buf: &WalkBuffer<W>) {
         let mut h = self.cursor;
+        let mut visits = 0;
         loop {
             self.cursor_bypass -= u64::from(self.meta[h as usize].tag);
             h = buf.next(h).unwrap_or(NIL);
+            visits += 1;
             if h == NIL || !self.meta[h as usize].blocked {
+                work::add(Work::IndexVisits, visits);
                 self.cursor = h;
                 return;
             }

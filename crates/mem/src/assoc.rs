@@ -43,6 +43,8 @@ use core::fmt;
 use core::marker::PhantomData;
 use core::mem::MaybeUninit;
 
+use ptw_types::work::{self, Work};
+
 /// Largest way count an [`AssocArray`] supports: validity is one `u64`
 /// bitmask per set.
 pub const MAX_WAYS: usize = 64;
@@ -374,22 +376,30 @@ impl<K: Eq + Copy, V: Copy> AssocArray<K, V> {
         let _ = set;
     }
 
+    /// The valid way of `set` holding `key`. Ways are compared in index
+    /// order, each compared tag counting as one [`Work::AssocTags`].
     #[inline]
     fn find_way(&self, set: usize, key: K) -> Option<usize> {
         let words = self.words(set);
         // SAFETY: word 0 is the valid mask; tag words are only read for
         // ways whose valid bit is set.
-        unsafe {
+        let mut compared = 0;
+        let found = unsafe {
             let mut mask = *words.add(VALID_WORD);
-            while mask != 0 {
+            loop {
+                if mask == 0 {
+                    break None;
+                }
                 let w = mask.trailing_zeros() as usize;
+                compared += 1;
                 if (words.add(TAGS_WORD + w) as *const K).read() == key {
-                    return Some(w);
+                    break Some(w);
                 }
                 mask &= mask - 1;
             }
-        }
-        None
+        };
+        work::add(Work::AssocTags, compared);
+        found
     }
 
     fn touch(&mut self, set: usize, way: usize) {
@@ -923,6 +933,26 @@ mod tests {
         a.fill(0, 2, 20);
         let ev = a.fill_pinned(0, 3, 30, |_, _| true);
         assert_eq!(ev, Some((1, 10))); // LRU fallback
+    }
+
+    /// A hit on the k-th valid way compares k tags; a miss compares every
+    /// valid way, and invalid ways are never compared.
+    #[test]
+    #[cfg_attr(not(debug_assertions), ignore)]
+    fn lookups_count_the_tags_they_compare() {
+        let mut a: AssocArray<u64, u32> = AssocArray::new(1, 8, Replacement::Lru);
+        for k in 0..5 {
+            a.fill(0, k, k as u32);
+        }
+        a.invalidate(0, 1); // valid ways: 0, 2, 3, 4
+        let tags = || work::take()[Work::AssocTags as usize];
+        tags();
+        assert_eq!(a.probe(0, 0), Some(&0));
+        assert_eq!(tags(), 1);
+        assert_eq!(a.probe(0, 3), Some(&3));
+        assert_eq!(tags(), 3, "way 3 is the third valid way");
+        assert_eq!(a.lookup(0, 99), None);
+        assert_eq!(tags(), 4, "a miss compares every valid way");
     }
 
     #[test]

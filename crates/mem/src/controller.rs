@@ -46,6 +46,7 @@ use std::collections::BinaryHeap;
 use ptw_types::addr::LineAddr;
 use ptw_types::map::U64Map;
 use ptw_types::time::Cycle;
+use ptw_types::work::{self, Work};
 
 use crate::dram::{map_address, DramConfig, DramCoord};
 
@@ -364,6 +365,7 @@ fn fcfs_pick(ch: &Channel) -> Option<(Cycle, u32)> {
     if ch.head == NIL {
         return None;
     }
+    work::add(Work::SelectExamined, 1);
     let p = &ch.slab[ch.head as usize];
     let t = ch.banks[p.coord.bank].ready_at.max(p.arrived);
     Some((t.max(ch.next_issue_at), ch.head))
@@ -392,12 +394,15 @@ fn scan_phase1(ch: &Channel) -> ScanHead {
     let mut min_t: Option<Cycle> = None;
     let mut min_first: u32 = NIL;
     let mut min_hit: Option<u32> = None;
+    let mut examined = 0;
     while h != NIL {
         let p = &ch.slab[h as usize];
         let bank = &ch.banks[p.coord.bank];
         let t_p = bank.ready_at.max(p.arrived);
         let hit = bank.open_row == p.coord.row;
+        examined += 1;
         if t_p <= gate {
+            work::add(Work::SelectExamined, examined);
             if hit {
                 return ScanHead::GatedHit(h);
             }
@@ -421,6 +426,7 @@ fn scan_phase1(ch: &Channel) -> ScanHead {
         }
         h = p.next;
     }
+    work::add(Work::SelectExamined, examined);
     ScanHead::Ungated(min_t.map(|t| (t.max(gate), min_hit.unwrap_or(min_first))))
 }
 
@@ -688,9 +694,11 @@ impl MemoryController {
                 // iteration, and it dominates row-locality streams.
                 let head = &ch.slab[ch.head as usize];
                 let hb = &ch.banks[head.coord.bank];
+                work::add(Work::SelectExamined, 1);
                 if hb.ready_at.max(head.arrived) <= gate && hb.open_row == head.coord.row {
                     return Some((gate, ch.head));
                 }
+                work::add(Work::SelectExamined, ch.active.len() as u64);
                 // General reduction over active banks. Everything read
                 // here lives in the 64-byte `Bank` struct: a bank's
                 // earliest candidate is its FIFO head
@@ -777,11 +785,13 @@ impl MemoryController {
                 ScanHead::Gated { first } => {
                     let gate = ch.next_issue_at;
                     let mut best: (u64, u32) = (u64::MAX, first);
+                    let mut examined = 0;
                     for (w, &word) in ch.hit_mask.iter().enumerate() {
                         let mut bits = word;
                         while bits != 0 {
                             let bank = &ch.banks[w * 64 + bits.trailing_zeros() as usize];
                             bits &= bits - 1;
+                            examined += 1;
                             if bank.ready_at <= gate
                                 && bank.hit_arrived <= gate
                                 && bank.hit_seq < best.0
@@ -790,6 +800,7 @@ impl MemoryController {
                             }
                         }
                     }
+                    work::add(Work::SelectExamined, examined);
                     Some((gate, best.1))
                 }
                 ScanHead::Ungated(pick) => pick,
@@ -806,11 +817,17 @@ impl MemoryController {
     /// usually the queue head once the bus gate is pacing issue. The bank
     /// reduction only pays off when queues are deep enough that active
     /// banks ≪ queued requests.
+    ///
+    /// Each call counts one [`Work::SelectScan`] or [`Work::SelectIndex`];
+    /// the queue entries and banks the chosen path reads count as
+    /// [`Work::SelectExamined`].
     fn select(&self, channel: usize) -> Option<(Cycle, u32)> {
         let ch = &self.channels[channel];
         if (ch.len as usize) < ch.active.len() * 2 {
+            work::add(Work::SelectScan, 1);
             self.next_issue_scan(channel)
         } else {
+            work::add(Work::SelectIndex, 1);
             self.next_issue(channel)
         }
     }
@@ -1407,6 +1424,33 @@ mod tests {
             assert!(guard < 100_000, "controller did not drain");
         }
         out
+    }
+
+    /// `select` routes on queue depth per active bank. After the first
+    /// issue, one request left on each of three banks is shallow: the scan
+    /// reads the first, already gate-ready entry. Seven left on one bank
+    /// are deep: the index reads the head, then its one active bank.
+    #[test]
+    #[cfg_attr(not(debug_assertions), ignore)]
+    fn select_scans_shallow_queues_and_indexes_deep_ones() {
+        let select_after_one_issue = |lines: &[u64]| {
+            let mut c = ctrl(MemSchedPolicy::FrFcfs);
+            for &line in lines {
+                c.submit(LineAddr::new(line), MemSource::Data, Cycle::ZERO);
+            }
+            work::take();
+            c.advance_into(Cycle::ZERO, &mut Vec::new());
+            let w = work::take();
+            let count = |k: Work| w[k as usize];
+            (
+                count(Work::SelectScan),
+                count(Work::SelectIndex),
+                count(Work::SelectExamined),
+            )
+        };
+        // Two channels: line numbers 0, 2, 4 and 6 are banks 0 to 3 of channel 0.
+        assert_eq!(select_after_one_issue(&[0, 128, 256, 384]), (1, 0, 1));
+        assert_eq!(select_after_one_issue(&[0; 8]), (0, 1, 2));
     }
 
     #[test]

@@ -87,7 +87,6 @@ fn main() -> ExitCode {
     let mut jobs = 0_usize; // 0 = one worker per hardware thread
     let mut process_isolation = false;
     let mut cell_timeout: Option<Duration> = None;
-    let mut pin = false;
     let mut checkpoint: Option<std::path::PathBuf> = None;
     let mut fault: Option<(BenchmarkId, SchedulerKind, FaultInjection)> = None;
     let mut fail_fast = false;
@@ -142,7 +141,6 @@ fn main() -> ExitCode {
                     return ExitCode::FAILURE;
                 }
             },
-            "--pin" => pin = true,
             "--resume" | "--checkpoint" => match args.next() {
                 Some(path) => checkpoint = Some(path.into()),
                 None => {
@@ -166,7 +164,7 @@ fn main() -> ExitCode {
                 eprintln!(
                     "usage: figures [NAMES...] [--scale small|medium|paper] [--seed N] \
                      [--quiet] [--csv DIR] [--jobs N | --serial] [--resume FILE] \
-                     [--isolation thread|process] [--cell-timeout SECS] [--pin] \
+                     [--isolation thread|process] [--cell-timeout SECS] \
                      [--inject-fault BENCH:SCHED:KIND@EVENT] [--fail-fast | --keep-going]\n\
                      names: {} all topology",
                     figures::NAMES.join(" ")
@@ -191,13 +189,9 @@ fn main() -> ExitCode {
         eprintln!("--cell-timeout requires --isolation process");
         return ExitCode::FAILURE;
     }
-    if pin && !process_isolation {
-        eprintln!("--pin requires --isolation process");
-        return ExitCode::FAILURE;
-    }
     let exec: Box<dyn CellExecutor> = if process_isolation {
         match Supervisor::self_exec(&["worker"], jobs) {
-            Ok(sup) => Box::new(sup.with_cell_timeout(cell_timeout).with_pin(pin)),
+            Ok(sup) => Box::new(sup.with_cell_timeout(cell_timeout)),
             Err(e) => {
                 eprintln!("cannot locate own executable for --isolation process: {e}");
                 return ExitCode::FAILURE;

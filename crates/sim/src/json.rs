@@ -1,11 +1,10 @@
 //! The crate's one JSON reader.
 //!
 //! The repo builds offline with zero third-party dependencies, so JSON is
-//! read with this hand-rolled parser instead of serde: the `BENCH_*.json`
-//! files the `ptw-bench` harness writes, and the flat lines of the sweep
-//! checkpoint and the worker wire protocol, whose format and one schema
-//! `crate::flat` owns. It
-//! covers objects, arrays, strings, finite numbers, bools and null, and is
+//! read with this hand-rolled parser instead of serde: the flat lines of
+//! the sweep checkpoint and the worker wire protocol, whose format and one
+//! schema `crate::flat` owns, and the reports `simbench` writes. It covers
+//! objects, arrays, strings, finite numbers, bools and null, and is
 //! deliberately strict about nothing else: unknown shapes simply return
 //! `None` from the typed getters.
 //!

@@ -30,8 +30,6 @@
 use std::io::{BufReader, Read, Write};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::process::{Child, Command, Stdio};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -54,43 +52,6 @@ const STDERR_TAIL_BYTES: usize = 512;
 /// Poll interval while waiting on a child with a deadline.
 const REAP_POLL: Duration = Duration::from_millis(10);
 
-/// Per-process CPU affinity, Linux only. Everywhere else
-/// [`affinity::pin_process`] is a no-op that reports failure, so `--pin`
-/// degrades to plain unpinned workers instead of breaking the build.
-pub mod affinity {
-    /// Pins process `pid` to the single CPU `cpu`. Returns whether the
-    /// kernel accepted the mask.
-    #[cfg(target_os = "linux")]
-    pub fn pin_process(pid: u32, cpu: usize) -> bool {
-        // `cpu_set_t` is 1024 bits on Linux; sixteen u64 words exactly.
-        #[repr(C)]
-        struct CpuSet {
-            bits: [u64; 16],
-        }
-        // std already links libc; declaring the symbol directly keeps the
-        // zero-third-party-dependency rule intact.
-        unsafe extern "C" {
-            fn sched_setaffinity(pid: i32, cpusetsize: usize, mask: *const CpuSet) -> i32;
-        }
-        if cpu >= 16 * 64 {
-            return false;
-        }
-        let mut set = CpuSet { bits: [0; 16] };
-        set.bits[cpu / 64] = 1u64 << (cpu % 64);
-        // A pid above i32::MAX cannot be addressed through this ABI.
-        let Ok(pid) = i32::try_from(pid) else {
-            return false;
-        };
-        unsafe { sched_setaffinity(pid, std::mem::size_of::<CpuSet>(), &set) == 0 }
-    }
-
-    /// Non-Linux fallback: affinity is unsupported, report failure.
-    #[cfg(not(target_os = "linux"))]
-    pub fn pin_process(_pid: u32, _cpu: usize) -> bool {
-        false
-    }
-}
-
 /// Runs sweep cells in supervised child processes.
 #[derive(Clone, Debug)]
 pub struct Supervisor {
@@ -99,11 +60,6 @@ pub struct Supervisor {
     workers: usize,
     retry: RetryPolicy,
     cell_timeout: Option<Duration>,
-    pin: bool,
-    /// Shared round-robin cursor for `--pin`: each spawned worker takes the
-    /// next CPU modulo the machine's parallelism. Shared across clones so
-    /// concurrent lanes never stack on the same core.
-    pin_seq: Arc<AtomicUsize>,
 }
 
 impl Supervisor {
@@ -126,8 +82,6 @@ impl Supervisor {
             workers,
             retry: RetryPolicy::default().with_backoff_ms(DEFAULT_BACKOFF_MS),
             cell_timeout: None,
-            pin: false,
-            pin_seq: Arc::new(AtomicUsize::new(0)),
         }
     }
 
@@ -154,23 +108,9 @@ impl Supervisor {
         self
     }
 
-    /// The same supervisor with per-worker CPU pinning toggled. When on,
-    /// each spawned worker is pinned (`sched_setaffinity`) to one CPU,
-    /// round-robin across the machine; Linux-only, a silent no-op
-    /// elsewhere or when the kernel rejects the mask.
-    pub fn with_pin(mut self, pin: bool) -> Self {
-        self.pin = pin;
-        self
-    }
-
     /// The retry policy in use.
     pub fn retry(&self) -> RetryPolicy {
         self.retry
-    }
-
-    /// Whether per-worker CPU pinning is enabled.
-    pub fn pin(&self) -> bool {
-        self.pin
     }
 
     /// The per-cell timeout in use.
@@ -180,8 +120,8 @@ impl Supervisor {
 
     /// Runs one spec in one supervised child process — a **single
     /// attempt**, no retry. [`run_cells`](CellExecutor::run_cells) wraps
-    /// this in the shared retry loop; `ptw-bench --isolation process` uses
-    /// it directly so a timed round-trip is never polluted by respawns.
+    /// this in the shared retry loop; a caller timing one supervised
+    /// round-trip uses it directly so respawns never pollute the time.
     pub fn run_spec(&self, spec: &RunSpec) -> Result<RunResult, RunError> {
         self.run_one(spec)
     }
@@ -198,15 +138,6 @@ impl Supervisor {
             .map_err(|e| RunError::WorkerDied {
                 message: format!("spawn of {} failed: {e}", self.command[0]),
             })?;
-
-        // Pin before feeding the spec so the worker computes on its final
-        // CPU from the first instruction that matters. Best-effort: a
-        // rejected mask just leaves this worker unpinned.
-        if self.pin {
-            let cpus = thread::available_parallelism().map_or(1, |n| n.get());
-            let cpu = self.pin_seq.fetch_add(1, Ordering::Relaxed) % cpus;
-            let _ = affinity::pin_process(child.id(), cpu);
-        }
 
         // Feed the spec and close stdin so the worker sees EOF. A write
         // failure here means the child died before reading — fall through
@@ -369,24 +300,6 @@ pub fn worker_main() -> u8 {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn pin_process_rejects_out_of_range_cpu() {
-        // The 1024-bit cpu_set_t cannot express CPU 1024.
-        assert!(!affinity::pin_process(std::process::id(), 16 * 64));
-    }
-
-    #[cfg(target_os = "linux")]
-    #[test]
-    fn pin_process_pins_a_live_child() {
-        let mut child = std::process::Command::new("/bin/sleep")
-            .arg("1")
-            .spawn()
-            .expect("spawn sleep");
-        assert!(affinity::pin_process(child.id(), 0));
-        let _ = child.kill();
-        let _ = child.wait();
-    }
 
     #[test]
     fn spawn_failure_is_a_dead_worker() {

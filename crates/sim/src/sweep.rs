@@ -375,68 +375,6 @@ impl SweepExecutor {
         self.try_run_cells(specs)
     }
 
-    /// Fans an arbitrary per-item job across the executor's workers and
-    /// returns the results **in item order**.
-    ///
-    /// This is the untyped sibling of [`try_run`](Self::try_run) for
-    /// callers whose unit of work is not a bare [`RunSpec`] — `ptw-bench`
-    /// uses it to time whole cells (several repetitions of one spec) as
-    /// one item. The closure receives `(index, &item)`; distribution is
-    /// the same dynamic atomic-counter scheme, and results land by index,
-    /// so output order never depends on worker count.
-    ///
-    /// Unlike `try_run` there is no panic isolation: a panicking closure
-    /// propagates. Callers wanting per-item fault isolation should catch
-    /// inside the closure (or use `try_run`).
-    pub fn map<T, R, F>(&self, items: &[T], f: F) -> Vec<R>
-    where
-        T: Sync,
-        R: Send,
-        F: Fn(usize, &T) -> R + Sync,
-    {
-        let mut slots: Vec<Option<R>> = (0..items.len()).map(|_| None).collect();
-        if self.workers == 1 || items.len() <= 1 {
-            for (i, (slot, item)) in slots.iter_mut().zip(items).enumerate() {
-                *slot = Some(f(i, item));
-            }
-        } else {
-            let next = AtomicUsize::new(0);
-            let next = &next;
-            let f = &f;
-            thread::scope(|scope| {
-                let handles: Vec<_> = (0..self.workers.min(items.len()))
-                    .map(|_| {
-                        scope.spawn(move || {
-                            let mut done = Vec::new();
-                            loop {
-                                let i = next.fetch_add(1, Ordering::Relaxed);
-                                let Some(item) = items.get(i) else { break };
-                                done.push((i, f(i, item)));
-                            }
-                            done
-                        })
-                    })
-                    .collect();
-                let mut worker_panicked = false;
-                for h in handles {
-                    match h.join() {
-                        Ok(done) => {
-                            for (i, r) in done {
-                                slots[i] = Some(r);
-                            }
-                        }
-                        Err(_) => worker_panicked = true,
-                    }
-                }
-                assert!(!worker_panicked, "map closure panicked in a sweep worker");
-            });
-        }
-        slots
-            .into_iter()
-            .map(|s| s.expect("every index was claimed by some worker"))
-            .collect()
-    }
-
     /// Executes every spec and returns the results in spec order,
     /// panicking on the first failed cell.
     ///
@@ -505,19 +443,6 @@ mod tests {
             // fresh serial execution of that spec alone.
             let serial = run_benchmark(spec).expect("clean spec");
             assert_eq!(result.metrics, serial.metrics, "{spec:?}");
-        }
-    }
-
-    #[test]
-    fn map_returns_item_order_at_any_worker_count() {
-        let items: Vec<u64> = (0..37).collect();
-        for workers in [1, 2, 4, 8] {
-            let out = SweepExecutor::new(workers).map(&items, |i, &x| (i, x * 2));
-            assert_eq!(out.len(), items.len());
-            for (i, &(idx, doubled)) in out.iter().enumerate() {
-                assert_eq!(idx, i);
-                assert_eq!(doubled, items[i] * 2);
-            }
         }
     }
 

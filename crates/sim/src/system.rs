@@ -28,6 +28,7 @@ use ptw_tlb::Tlb;
 use ptw_types::addr::{LineAddr, PhysAddr, PhysFrame, VirtAddr, VirtPage};
 use ptw_types::ids::{InstrId, InstrIdAllocator, WavefrontId};
 use ptw_types::time::Cycle;
+use ptw_types::work::{self, Work};
 use ptw_workloads::Workload;
 
 use crate::config::{FaultInjection, FaultKind, SystemConfig, WatchdogConfig};
@@ -134,6 +135,34 @@ enum Event {
     LineDone { wf: u32 },
     /// Wake the memory controller.
     MemTick,
+}
+
+impl Event {
+    /// The work counter of this event's kind.
+    fn work(&self) -> Work {
+        match self {
+            Event::WfReady(_) => Work::WfReady,
+            Event::TranslationDone { .. } => Work::TranslationDone,
+            Event::L2TlbArrive { .. } => Work::L2TlbArrive,
+            Event::L2TlbLookup { .. } => Work::L2TlbLookup,
+            Event::IommuArrival { .. } => Work::IommuArrival,
+            Event::WalkerIssue { .. } => Work::WalkerIssue,
+            Event::DataSubmit { .. } => Work::DataSubmit,
+            Event::LineDone { .. } => Work::LineDone,
+            Event::MemTick => Work::MemTick,
+        }
+    }
+}
+
+/// Adds one popped bucket to the per-kind event counters, once per kind.
+fn count_events(batch: &[Event]) {
+    let mut tally = [0u64; work::N];
+    for event in batch {
+        tally[event.work() as usize] += 1;
+    }
+    for (&w, n) in Work::ALL.iter().zip(tally) {
+        work::add(w, n);
+    }
 }
 
 /// [`EventQueue::pop_bucket_into`] swaps whole bucket buffers into the
@@ -811,6 +840,11 @@ impl System {
             let Some(now) = self.queue.pop_bucket_into(&mut batch) else {
                 break;
             };
+            // Every popped event counts, on both paths below: superseded
+            // `MemTick`s and swallowed livelock events included.
+            if cfg!(debug_assertions) {
+                count_events(&batch);
+            }
             if before + batch.len() as u64 <= checks.quiet_until() {
                 self.dispatch_bucket(&batch, now, &mut ticks);
                 continue;

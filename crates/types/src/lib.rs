@@ -15,7 +15,10 @@
 //!   results are bit-reproducible across platforms (we deliberately avoid
 //!   pulling `rand` into the simulator core);
 //! * [`stats`] — counters, online means and bucketed histograms used by the
-//!   metrics pipeline.
+//!   metrics pipeline;
+//! * [`work`] — per-thread deterministic work counters (events by kind,
+//!   map slots, tags, DRAM selects, candidate-index steps), counted in
+//!   debug builds only.
 //!
 //! # Example
 //!
@@ -38,6 +41,7 @@ pub mod map;
 pub mod rng;
 pub mod stats;
 pub mod time;
+pub mod work;
 
 pub use addr::{PhysAddr, PhysFrame, VirtAddr, VirtPage, LINE_SIZE, PAGE_SIZE};
 pub use ids::{CuId, InstrId, LaneId, WalkerId, WavefrontId};

@@ -16,7 +16,11 @@
 //! less than a full-avalanche finalizer on the lookup paths.
 //!
 //! Lookups are exact key → value matches and nothing iterates the map, so
-//! swapping the container can never change simulated results.
+//! swapping the container can never change simulated results. Every slot
+//! a lookup, insert, removal or growth examines counts as one
+//! [`Work::MapSlots`](crate::work::Work::MapSlots).
+
+use crate::work::{self, Work};
 
 /// Slot key marking an empty slot. Page numbers, line addresses and packed
 /// chain keys all stay far below it; [`U64Map::insert`] enforces this.
@@ -89,16 +93,20 @@ impl<V: Copy + Default> U64Map<V> {
             return None;
         }
         let mut i = home(key, self.mask);
-        loop {
+        let mut probes = 1;
+        let found = loop {
             let k = self.slots[i].0;
             if k == EMPTY {
-                return None;
+                break None;
             }
             if k == key {
-                return Some(i);
+                break Some(i);
             }
             i = (i + 1) & self.mask;
-        }
+            probes += 1;
+        };
+        work::add(Work::MapSlots, probes);
+        found
     }
 
     /// The value mapped to `key`, if any.
@@ -144,19 +152,23 @@ impl<V: Copy + Default> U64Map<V> {
             self.grow();
         }
         let mut i = home(key, self.mask);
-        loop {
+        let mut probes = 1;
+        let replaced = loop {
             let (k, old) = self.slots[i];
             if k == key {
                 self.slots[i].1 = value;
-                return Some(old);
+                break Some(old);
             }
             if k == EMPTY {
                 self.slots[i] = (key, value);
                 self.len += 1;
-                return None;
+                break None;
             }
             i = (i + 1) & self.mask;
-        }
+            probes += 1;
+        };
+        work::add(Work::MapSlots, probes);
+        replaced
     }
 
     /// Removes `key`, returning its value if it was present. Later members
@@ -167,8 +179,10 @@ impl<V: Copy + Default> U64Map<V> {
         let value = self.slots[hole].1;
         let mask = self.mask;
         let mut j = hole;
+        let mut probes = 0;
         loop {
             j = (j + 1) & mask;
+            probes += 1;
             let (k, v) = self.slots[j];
             if k == EMPTY {
                 break;
@@ -181,6 +195,7 @@ impl<V: Copy + Default> U64Map<V> {
                 hole = j;
             }
         }
+        work::add(Work::MapSlots, probes);
         self.slots[hole].0 = EMPTY;
         self.len -= 1;
         Some(value)
@@ -195,13 +210,17 @@ impl<V: Copy + Default> U64Map<V> {
             vec![(EMPTY, V::default()); n].into_boxed_slice(),
         );
         self.mask = n - 1;
+        let mut probes = old.len() as u64;
         for &(k, v) in old.iter().filter(|(k, _)| *k != EMPTY) {
             let mut i = home(k, self.mask);
+            probes += 1;
             while self.slots[i].0 != EMPTY {
                 i = (i + 1) & self.mask;
+                probes += 1;
             }
             self.slots[i] = (k, v);
         }
+        work::add(Work::MapSlots, probes);
     }
 }
 
@@ -285,5 +304,24 @@ mod tests {
         );
         let sentinel = std::panic::catch_unwind(|| U64Map::<u64>::default().insert(EMPTY, 1));
         assert!(sentinel.is_err(), "the free-slot sentinel must be rejected");
+    }
+
+    /// Of two keys sharing a home slot, the second sits one slot further
+    /// on: finding the first examines one slot, the second two.
+    #[test]
+    #[cfg_attr(not(debug_assertions), ignore)]
+    fn lookup_counts_the_slots_it_examines() {
+        let mut map: U64Map<u64> = U64Map::with_capacity(8);
+        let mask = map.mask;
+        let mut shared = (1..).filter(|&k| home(k, mask) == home(0, mask));
+        let second = shared.next().expect("keys share home slots");
+        map.insert(0, 1);
+        map.insert(second, 2);
+        let slots = || work::take()[Work::MapSlots as usize];
+        slots();
+        assert_eq!(map.get(0), Some(1));
+        assert_eq!(slots(), 1);
+        assert_eq!(map.get(second), Some(2));
+        assert_eq!(slots(), 2);
     }
 }

@@ -89,28 +89,16 @@ cmp -s "$resume_first" "$resume_second" || {
   exit 1
 }
 
-echo "== bench smoke (events/sec vs committed BENCH_10.json, >20% regress fails)"
-# CI_BENCH_JOBS fans smoke cells across threads (0 = one per hardware
-# thread). Default stays 1: parallel cells contend for cache/bandwidth and
-# eat into the regression headroom, so only raise this where the smoke's
-# wall time matters more than a tight floor. CI_BENCH_BUDGET_SECS is a
-# hard wall-time ceiling — a hung or pathologically slow smoke fails CI
-# instead of wedging it (exit 124 from timeout).
-if [[ "${CI_SKIP_BENCH:-0}" == "1" ]]; then
-  echo "skipped (CI_SKIP_BENCH=1)"
-else
-  timeout "${CI_BENCH_BUDGET_SECS:-300}" \
-    ./target/release/ptw-bench --check BENCH_10.json \
-    --jobs "${CI_BENCH_JOBS:-1}" --quiet
-fi
-
 echo "== workspace unit tests (every crate's lib tests)"
-# Tier-1 runs only the root package's integration tests. The randomized
-# oracles and test-only references live in the crates' unit tests: the
-# shared U64Map against a std HashMap (ptw-types); the packed AssocArray,
-# the keyed MSHR, and the DRAM controller's carried pick against the
-# legacy whole-queue scan over seeded submit/advance streams (ptw-mem,
-# DESIGN.md §10/§13/§14); the candidate index, scheduler and IOMMU
+# Tier-1 runs only the root package's integration tests, among them the
+# exact work-count gate (tests/work_counts.rs). The randomized oracles,
+# test-only references and the work counters' meaning tests live in the
+# crates' unit tests: the shared U64Map against a std HashMap, and the
+# slots a lookup examines (ptw-types); the packed AssocArray and the tags
+# a lookup compares, the keyed MSHR, and the DRAM controller's carried
+# pick against the legacy whole-queue scan over seeded submit/advance
+# streams, and which select path a queue depth takes (ptw-mem, DESIGN.md
+# §10/§13/§14); the candidate index, scheduler and IOMMU
 # (ptw-core); the batched run loop against the per-event reference loop on
 # every small benchmark and policy plus its budget and watchdog aborts, the
 # 2x2 mixed-page topology under FCFS and SIMT-aware, the config and

@@ -1,7 +1,7 @@
 //! Process-isolated sweep supervision end to end, against **real child
 //! processes**: this test binary re-executes itself as the stdin/stdout
 //! worker (`harness = false` so `main` can dispatch the `worker` argv),
-//! exactly like `figures worker` / `ptw-bench worker`.
+//! exactly like `figures worker` / `simbench worker`.
 //!
 //! Covered here:
 //! * an all-healthy process-isolated sweep produces result rows identical

@@ -2,11 +2,13 @@
 //!
 //! The PR-1 golden trace (`policy_equivalence.rs`) pins the *scheduler's
 //! selection order* in isolation. This test pins the *whole simulated
-//! system*: every metric a figure can read — cycles, stalls, latencies,
-//! histograms, TLB/cache hit rates, DRAM counters — for two contrasting
-//! benchmarks under all seven scheduling policies. Any hot-path rework of
-//! the event queue, IOMMU buffer, or inflight tracking must reproduce
-//! these numbers bit-for-bit; only then is it a pure data-structure change.
+//! system*: every field of `RunResult` but one — cycles, stalls,
+//! latencies, histograms, TLB/cache hit rates, per-IOMMU walks and
+//! imbalance, large-page counters, DRAM counters and occupancy integrals —
+//! for two contrasting benchmarks under all seven scheduling policies.
+//! Any hot-path rework of the event queue, IOMMU buffer, or inflight
+//! tracking must reproduce these numbers bit-for-bit; only then is it a
+//! pure data-structure change.
 //!
 //! The one field deliberately *not* pinned is `RunResult::events`: the
 //! number of queue pops is simulation cost, not simulated behavior, and
@@ -16,7 +18,8 @@
 //! one batch event or as one event each moves the count the same way.
 //!
 //! Floats are recorded via `f64::to_bits` so "equal" means bit-identical,
-//! not approximately close.
+//! not approximately close. Fields added to the pin later are appended to
+//! each line, so an older line stays a prefix of its newer one.
 //!
 //! To re-bless after an *intentional* behavior change:
 //!
@@ -108,6 +111,30 @@ fn encode(r: &RunResult) -> String {
     kv_f(&mut s, "l1_cache_hit_rate", r.l1_cache_hit_rate);
     kv_f(&mut s, "l2_cache_hit_rate", r.l2_cache_hit_rate);
     kv_f(&mut s, "finish_spread", r.finish_spread);
+    let walks: Vec<String> = r.per_iommu_walks.iter().map(u64::to_string).collect();
+    let _ = write!(s, " per_iommu_walks={}", walks.join(","));
+    kv_f(&mut s, "iommu_imbalance", r.iommu_imbalance);
+    kv_u(&mut s, "gpu_tlb_large_hits", r.gpu_tlb_large_hits);
+    kv_u(
+        &mut s,
+        "iommu.large_walks_performed",
+        r.iommu.large_walks_performed,
+    );
+    kv_u(
+        &mut s,
+        "iommu.large_completed_requests",
+        r.iommu.large_completed_requests,
+    );
+    kv_u(
+        &mut s,
+        "iommu.large_total_walk_latency",
+        r.iommu.large_total_walk_latency,
+    );
+    kv_u(&mut s, "mem.peak_queue_depth", r.mem.peak_queue_depth);
+    kv_u(&mut s, "mem.peak_busy_banks", r.mem.peak_busy_banks);
+    kv_u(&mut s, "mem.queue_depth_cycles", r.mem.queue_depth_cycles);
+    kv_u(&mut s, "mem.busy_bank_cycles", r.mem.busy_bank_cycles);
+    kv_u(&mut s, "mem.observed_cycles", r.mem.observed_cycles);
     s
 }
 
