@@ -4,39 +4,52 @@
 //! events fire in the order they were scheduled — runs are bit-reproducible
 //! regardless of platform or hash-map iteration order.
 //!
-//! # Two-level calendar queue
+//! # Sliding calendar queue
 //!
 //! Almost every event a cycle-level simulation schedules lands within a
 //! few hundred cycles of "now" (TLB lookups, walker steps, DRAM timings),
 //! so a comparison-based heap pays `O(log n)` per event for ordering the
-//! queue almost never needs. [`EventQueue`] instead keeps a *near* ring of
-//! [`HORIZON`] one-cycle buckets — schedule and pop are O(1) plus a
-//! word-at-a-time occupancy-bitmap scan — and spills the rare far-future
-//! event into a small fallback [`BinaryHeap`]. When the near ring drains,
-//! the queue *rebases* onto the earliest far event and migrates the next
-//! horizon's worth of far events into the ring.
+//! queue almost never needs. [`EventQueue`] instead keeps a ring of
+//! [`HORIZON`] one-cycle buckets that covers the window
+//! `[now, now + HORIZON)` — schedule and pop are O(1) plus a
+//! word-at-a-time occupancy-bitmap scan — and puts an event at or past the
+//! window's end into a fallback [`BinaryHeap`]. The window slides with
+//! `now`: every pop that advances the clock moves the far events the
+//! window has reached into their buckets. Only when the ring is empty does
+//! the clock jump, straight to the earliest far event.
+//!
+//! Storage follows the events pending, not the ring width. A bucket owns
+//! a buffer only while it is occupied: a drained or emptied bucket hands
+//! its buffer to a LIFO pool, and the next push into an empty bucket takes
+//! one back. The queue so holds at most one buffer per bucket that was
+//! occupied at the busiest moment, plus the one the drain loop swaps in.
 //!
 //! The `(time, insertion sequence)` total order is preserved exactly:
 //!
-//! * near events always precede far events (near holds `at < horizon`,
-//!   far holds `at ≥ horizon`);
-//! * within a one-cycle bucket, FIFO push order *is* sequence order,
-//!   because direct inserts carry monotonically increasing sequence
-//!   numbers and rebase migration (a) only happens while the ring is
-//!   empty and (b) drains the far heap in `(at, seq)` order, so migrated
-//!   entries land in sequence order and every later direct insert has a
-//!   larger sequence number than any migrated one.
+//! * ring events precede far events. The ring holds
+//!   `now ≤ at < now + HORIZON` and the heap `at ≥ now + HORIZON`; a pop
+//!   restores both for the new `now` before it returns. The window is
+//!   exactly `HORIZON` cycles wide, so distinct pending times occupy
+//!   distinct buckets.
+//! * within a one-cycle bucket, FIFO push order *is* sequence order.
+//!   Direct inserts carry increasing sequence numbers. A far event at time
+//!   `t` was scheduled while `t ≥ now + HORIZON`, so any direct insert at
+//!   `t` comes after a later pop has slid the window over `t` — and that
+//!   pop already moved the far event into the bucket, before its caller
+//!   could schedule again. The heap releases events in `(at, seq)` order,
+//!   so far events that share a cycle also land in sequence order.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use ptw_types::time::Cycle;
 
-/// Width of the near ring in cycles. Must be a power of two. DRAM row
-/// conflicts (~104 cycles) and full walk chains (4 reads) sit far below
-/// this, so in practice only watchdog-style events ever reach the far
-/// heap.
-pub const HORIZON: u64 = 4096;
+/// Width of the ring in cycles. Must be a power of two. DRAM row
+/// conflicts (~104 cycles), full walk chains (4 reads) and the queueing in
+/// front of them keep 99.998% of scheduling deltas below 1024 cycles on
+/// the benchmark workloads (EXPERIMENTS.md has the histogram), so the far
+/// heap sees about two events in 10⁵.
+pub const HORIZON: u64 = 1024;
 
 const WORDS: usize = (HORIZON as usize) / 64;
 
@@ -74,27 +87,24 @@ impl<E: Eq> PartialOrd for Scheduled<E> {
 /// ```
 #[derive(Debug)]
 pub struct EventQueue<E> {
-    /// One-cycle buckets for events with `at < horizon`; bucket index is
-    /// `at % HORIZON`. Within a bucket, front-to-back order is sequence
-    /// order (see module docs). Plain `Vec`s: events are appended in
-    /// sequence order and drained wholesale by
-    /// [`pop_bucket_into`](Self::pop_bucket_into), which *swaps* the
-    /// bucket's backing buffer with the caller's scratch instead of
-    /// copying events one by one ([`pop`](Self::pop), the per-event
-    /// oracle path, shifts from the front and is the only reason a deque
-    /// was ever considered).
+    /// One-cycle buckets for events with `now ≤ at < now + HORIZON`;
+    /// bucket index is `at % HORIZON`. Within a bucket, front-to-back
+    /// order is sequence order (see module docs). Plain `Vec`s: events are
+    /// appended in sequence order and drained wholesale by
+    /// [`pop_bucket_into`](Self::pop_bucket_into), which hands the
+    /// bucket's buffer to the caller instead of copying events one by one.
+    /// An empty bucket holds an unallocated `Vec`.
     near: Vec<Vec<E>>,
     /// Occupancy bitmap over `near`: bit `i` set iff `near[i]` is
     /// non-empty.
     occ: [u64; WORDS],
-    /// Number of events currently in the near ring.
+    /// Number of events currently in the ring.
     near_len: usize,
-    /// Events with `at ≥ horizon`.
+    /// Allocated, empty buffers for the next buckets to become occupied;
+    /// last in, first out, so the most recently used buffer is reused.
+    pool: Vec<Vec<E>>,
+    /// Events with `at ≥ now + HORIZON`.
     far: BinaryHeap<Reverse<Scheduled<E>>>,
-    /// Exclusive upper bound on near-ring event times. Invariants:
-    /// `now < horizon ≤ now + HORIZON` outside of `pop`, so each pending
-    /// near time maps to a distinct bucket.
-    horizon: Cycle,
     next_seq: u64,
     now: Cycle,
     processed: u64,
@@ -113,8 +123,8 @@ impl<E: Eq> EventQueue<E> {
             near: (0..HORIZON).map(|_| Vec::new()).collect(),
             occ: [0; WORDS],
             near_len: 0,
+            pool: Vec::new(),
             far: BinaryHeap::new(),
-            horizon: Cycle::new(HORIZON),
             next_seq: 0,
             now: Cycle::ZERO,
             processed: 0,
@@ -155,24 +165,48 @@ impl<E: Eq> EventQueue<E> {
         );
         let seq = self.next_seq;
         self.next_seq += 1;
-        if at < self.horizon {
-            let bucket = (at.raw() % HORIZON) as usize;
-            self.near[bucket].push(event);
-            self.occ[bucket / 64] |= 1u64 << (bucket % 64);
-            self.near_len += 1;
+        if at.raw() - self.now.raw() < HORIZON {
+            self.push_near(at, event);
         } else {
             self.far.push(Reverse(Scheduled { at, seq, event }));
         }
     }
 
-    /// Earliest occupied near-ring time at or after `from`, which must be
-    /// a lower bound on every pending near event. O(HORIZON/64) worst
-    /// case; one word read in the common dense case.
-    fn next_occupied(&self, from: Cycle) -> Option<Cycle> {
+    /// Appends `event` to the bucket of `at`, which must lie in the window.
+    /// The first push into an empty bucket takes a pooled buffer.
+    fn push_near(&mut self, at: Cycle, event: E) {
+        let bucket = (at.raw() % HORIZON) as usize;
+        let (word, bit) = (bucket / 64, 1u64 << (bucket % 64));
+        if self.occ[word] & bit == 0 {
+            self.occ[word] |= bit;
+            if let Some(buf) = self.pool.pop() {
+                debug_assert_eq!(
+                    self.near[bucket].capacity(),
+                    0,
+                    "empty bucket kept a buffer"
+                );
+                self.near[bucket] = buf;
+            }
+        }
+        self.near[bucket].push(event);
+        self.near_len += 1;
+    }
+
+    /// Marks `bucket` empty and returns its (empty) buffer to the pool.
+    fn release(&mut self, bucket: usize) {
+        self.occ[bucket / 64] &= !(1u64 << (bucket % 64));
+        let buf = std::mem::take(&mut self.near[bucket]);
+        debug_assert!(buf.is_empty(), "released a bucket with events");
+        self.pool.push(buf);
+    }
+
+    /// Earliest occupied ring time, at or after `now`. O(HORIZON/64)
+    /// worst case; one word read in the common dense case.
+    fn next_occupied(&self) -> Option<Cycle> {
         if self.near_len == 0 {
             return None;
         }
-        let from = from.raw();
+        let from = self.now.raw();
         let start = (from % HORIZON) as usize;
         let mut word_idx = start / 64;
         let mut word = self.occ[word_idx] & (!0u64 << (start % 64));
@@ -190,54 +224,48 @@ impl<E: Eq> EventQueue<E> {
             word_idx = (word_idx + 1) % WORDS;
             word = self.occ[word_idx];
         }
-        unreachable!("near ring reports {} events but no occupied bucket", {
+        unreachable!("ring reports {} events but no occupied bucket", {
             self.near_len
         })
     }
 
-    /// Re-anchors an empty near ring at the earliest far event's time `t`:
-    /// sets `horizon = t + HORIZON` and migrates every far event below the
-    /// new horizon into the ring. Returns `t`.
-    fn rebase(&mut self) -> Option<Cycle> {
-        debug_assert_eq!(self.near_len, 0, "rebase requires an empty near ring");
-        let base = self.far.peek().map(|Reverse(s)| s.at)?;
-        self.horizon = Cycle::new(base.raw() + HORIZON);
+    /// Advances the clock to the earliest pending event — the earliest
+    /// ring event, or, when the ring is empty, the earliest far event —
+    /// then slides the window: every far event below `now + HORIZON` moves
+    /// into its bucket. Returns the bucket of `now`, or `None` if the
+    /// queue is empty.
+    fn advance(&mut self) -> Option<usize> {
+        let at = match self.next_occupied() {
+            Some(at) => at,
+            None => self.far.peek()?.0.at,
+        };
+        debug_assert!(at >= self.now, "time went backwards");
+        self.now = at;
         while let Some(Reverse(s)) = self.far.peek() {
-            if s.at >= self.horizon {
+            if s.at.raw() - at.raw() >= HORIZON {
                 break;
             }
             let Reverse(s) = self.far.pop().expect("peeked entry");
-            let bucket = (s.at.raw() % HORIZON) as usize;
-            self.near[bucket].push(s.event);
-            self.occ[bucket / 64] |= 1u64 << (bucket % 64);
-            self.near_len += 1;
+            self.push_near(s.at, s.event);
         }
-        Some(base)
+        Some((at.raw() % HORIZON) as usize)
     }
 
     /// Pops the earliest event, advancing the clock to its time.
     pub fn pop(&mut self) -> Option<(Cycle, E)> {
-        let from = if self.near_len == 0 {
-            self.rebase()?
-        } else {
-            self.now
-        };
-        let at = self.next_occupied(from).expect("near ring is non-empty");
-        let bucket = (at.raw() % HORIZON) as usize;
+        let bucket = self.advance()?;
         let event = self.near[bucket].remove(0); // front of a small bucket
         if self.near[bucket].is_empty() {
-            self.occ[bucket / 64] &= !(1u64 << (bucket % 64));
+            self.release(bucket);
         }
         self.near_len -= 1;
-        debug_assert!(at >= self.now, "time went backwards");
-        self.now = at;
         self.processed += 1;
-        Some((at, event))
+        Some((self.now, event))
     }
 
-    /// Drains the entire earliest one-cycle bucket, advancing the clock to
-    /// its time and appending its events — in `(time, seq)` pop order — to
-    /// `into`. Returns the bucket's cycle, or `None` if the queue is empty.
+    /// Drains the entire earliest one-cycle bucket into `into`, advancing
+    /// the clock to its time; its events arrive in `(time, seq)` pop
+    /// order. Returns the bucket's cycle, or `None` if the queue is empty.
     ///
     /// Equivalent to calling [`pop`](Self::pop) until the popped time
     /// changes, but pays the occupancy scan and clock bookkeeping once per
@@ -247,36 +275,27 @@ impl<E: Eq> EventQueue<E> {
     /// per-event popping would observe, since a same-cycle insert always
     /// carries a larger sequence number than anything already drained.
     ///
-    /// When `into` arrives empty (the steady state of a drain loop that
-    /// clears its batch between calls), the bucket's backing buffer is
-    /// *swapped* with `into` instead of copied — the hot loop moves three
-    /// pointers per cycle, not one memcpy per event — and the bucket
-    /// inherits `into`'s (empty) buffer for subsequent same-cycle inserts.
+    /// The bucket's buffer *becomes* `into` — the hot loop moves three
+    /// pointers per cycle, not one memcpy per event — and the buffer
+    /// `into` held goes to the pool for the next bucket to fill.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `into` is not empty: a drain loop clears its batch
+    /// between calls.
     pub fn pop_bucket_into(&mut self, into: &mut Vec<E>) -> Option<Cycle> {
-        let from = if self.near_len == 0 {
-            self.rebase()?
-        } else {
-            self.now
-        };
-        let at = self.next_occupied(from).expect("near ring is non-empty");
-        let bucket = (at.raw() % HORIZON) as usize;
-        let drained = self.near[bucket].len();
-        if into.is_empty() {
-            std::mem::swap(into, &mut self.near[bucket]);
-        } else {
-            into.append(&mut self.near[bucket]);
-        }
-        self.occ[bucket / 64] &= !(1u64 << (bucket % 64));
-        self.near_len -= drained;
-        debug_assert!(at >= self.now, "time went backwards");
-        self.now = at;
-        self.processed += drained as u64;
-        Some(at)
+        assert!(into.is_empty(), "pop_bucket_into needs an empty batch");
+        let bucket = self.advance()?;
+        std::mem::swap(into, &mut self.near[bucket]);
+        self.release(bucket);
+        self.near_len -= into.len();
+        self.processed += into.len() as u64;
+        Some(self.now)
     }
 
     /// The time of the earliest pending event.
     pub fn peek_time(&self) -> Option<Cycle> {
-        self.next_occupied(self.now)
+        self.next_occupied()
             .or_else(|| self.far.peek().map(|Reverse(s)| s.at))
     }
 }
@@ -353,13 +372,13 @@ mod tests {
     }
 
     #[test]
-    fn rebase_keeps_interleaving_with_new_inserts() {
+    fn empty_ring_jump_keeps_interleaving_with_new_inserts() {
         let mut q = EventQueue::new();
         q.schedule(Cycle::new(2 * HORIZON), 1); // far
         q.schedule(Cycle::new(10), 0); // near
         assert_eq!(q.pop(), Some((Cycle::new(10), 0)));
-        // Ring is empty; next pop rebases onto the far event. An insert
-        // at the same cycle after the rebase must still fire after it.
+        // Ring is empty; the next pop jumps to the far event. An insert
+        // at the same cycle after the jump must still fire after it.
         assert_eq!(q.pop(), Some((Cycle::new(2 * HORIZON), 1)));
         q.schedule(Cycle::new(2 * HORIZON), 2);
         q.schedule(Cycle::new(2 * HORIZON + 3), 3);
@@ -406,7 +425,7 @@ mod tests {
     }
 
     #[test]
-    fn pop_bucket_rebases_onto_far_events() {
+    fn pop_bucket_jumps_to_far_events() {
         let mut q = EventQueue::new();
         q.schedule(Cycle::new(2 * HORIZON + 1), 'z');
         q.schedule(Cycle::new(2 * HORIZON + 1), 'w');
@@ -417,6 +436,14 @@ mod tests {
         );
         assert_eq!(batch, vec!['z', 'w']);
         assert_eq!(q.now(), Cycle::new(2 * HORIZON + 1));
+    }
+
+    #[test]
+    #[should_panic(expected = "empty batch")]
+    fn pop_bucket_rejects_a_non_empty_batch() {
+        let mut q = EventQueue::new();
+        q.schedule(Cycle::new(1), 'b');
+        q.pop_bucket_into(&mut vec!['a']);
     }
 
     #[test]
@@ -457,5 +484,76 @@ mod tests {
         q.schedule(Cycle::new(HORIZON - 3), 1); // high bucket, earlier time
         assert_eq!(q.pop(), Some((Cycle::new(HORIZON - 3), 1)));
         assert_eq!(q.pop(), Some((Cycle::new(HORIZON + 5), 2)));
+    }
+
+    /// Allocated bucket buffers the queue holds: the occupied buckets'
+    /// plus the pool's.
+    fn buffers<E>(q: &EventQueue<E>) -> usize {
+        q.near
+            .iter()
+            .chain(&q.pool)
+            .filter(|b| b.capacity() > 0)
+            .count()
+    }
+
+    fn occupied<E>(q: &EventQueue<E>) -> usize {
+        q.occ.iter().map(|w| w.count_ones() as usize).sum()
+    }
+
+    #[test]
+    fn bucket_buffers_are_bounded_by_peak_occupancy() {
+        // Every cycle schedules a small burst one to three cycles ahead and
+        // drains one bucket, so `now` walks every bucket of the ring twice
+        // while only a few buckets are occupied at any moment.
+        let mut q = EventQueue::new();
+        let mut batch = Vec::new();
+        let mut peak = 0;
+        q.schedule(Cycle::ZERO, 0u64);
+        while let Some(at) = q.pop_bucket_into(&mut batch) {
+            if at.raw() < 2 * HORIZON {
+                for d in [1, 1, 2, 3] {
+                    q.schedule(Cycle::new(at.raw() + d), d);
+                }
+            }
+            peak = peak.max(occupied(&q));
+            batch.clear();
+        }
+        assert!(peak >= 3, "the drive keeps several buckets occupied");
+        assert!(
+            buffers(&q) <= peak + 1,
+            "{} buffers held for a peak of {peak} occupied buckets",
+            buffers(&q)
+        );
+    }
+
+    #[test]
+    fn window_edges_hold_after_the_ring_slides() {
+        let mut q = EventQueue::new();
+        // Slide `now` past HORIZON by popping, not by an empty-ring jump.
+        q.schedule(Cycle::new(HORIZON - 2), 'p');
+        q.schedule(Cycle::new(HORIZON + 5), 'q');
+        assert_eq!(q.pop(), Some((Cycle::new(HORIZON - 2), 'p')));
+        assert_eq!(q.pop(), Some((Cycle::new(HORIZON + 5), 'q')));
+        let now = q.now().raw();
+        // The window's last cycle shares no bucket with `now`; its first
+        // cycle past the end does, and must wait in the far heap.
+        q.schedule(Cycle::new(now + HORIZON - 1), 'a');
+        q.schedule(Cycle::new(now + HORIZON), 'c');
+        q.schedule(Cycle::new(now + HORIZON - 1), 'b');
+        q.schedule(Cycle::new(now + HORIZON), 'd');
+        q.schedule(Cycle::new(now + 1), 'x');
+        assert_eq!(q.len(), 5);
+        assert_eq!(q.pop(), Some((Cycle::new(now + 1), 'x')));
+        // That pop slid the window over `now + HORIZON`: a direct insert
+        // there must still fire after the far events admitted before it.
+        q.schedule(Cycle::new(now + HORIZON), 'e');
+        assert_eq!(q.peek_time(), Some(Cycle::new(now + HORIZON - 1)));
+        let rest: Vec<(u64, char)> =
+            std::iter::from_fn(|| q.pop().map(|(t, e)| (t.raw() - now, e))).collect();
+        let h = HORIZON;
+        assert_eq!(
+            rest,
+            vec![(h - 1, 'a'), (h - 1, 'b'), (h, 'c'), (h, 'd'), (h, 'e')]
+        );
     }
 }

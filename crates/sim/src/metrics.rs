@@ -15,8 +15,6 @@
 //! | 11 | number of page walk requests | [`RunMetrics::walk_requests`] |
 //! | 12 | distinct wavefronts per GPU-L2-TLB epoch | [`RunMetrics::mean_epoch_wavefronts`] |
 
-use std::collections::HashSet;
-
 use ptw_types::stats::{BucketHistogram, OnlineMean};
 use ptw_types::time::Cycle;
 
@@ -83,13 +81,18 @@ pub struct MetricsCollector {
     last_latency: OnlineMean,
     /// last − first completion gap per instruction (Figure 10).
     latency_gap: OnlineMean,
-    /// (instruction's own-walk count, min/max service seq) feed: resolved
-    /// against the global walk log at finalize time.
+    /// (own-walk count, min/max service seq) of every instruction with at
+    /// least two own walks; `finish` counts one as interleaved when its
+    /// span is wider than its own-walk count.
     instr_spans: Vec<(u64, u64, u64)>, // (own_walks, min_seq, max_seq)
-    /// Distinct wavefronts per GPU L2 TLB epoch (Figure 12).
+    /// Distinct wavefronts per GPU L2 TLB epoch (Figure 12): a bitset
+    /// over the dense wavefront ids, its count of set bits, and the words
+    /// set this epoch — the only ones zeroed at its end.
     epoch_len: u64,
     epoch_count: u64,
-    epoch_set: HashSet<u32>,
+    epoch_bits: Vec<u64>,
+    epoch_words: Vec<u32>,
+    epoch_distinct: u64,
     epoch_mean: OnlineMean,
     /// Total GPU L2 TLB accesses.
     l2_tlb_accesses: u64,
@@ -112,7 +115,9 @@ impl MetricsCollector {
             instr_spans: Vec::new(),
             epoch_len,
             epoch_count: 0,
-            epoch_set: HashSet::new(),
+            epoch_bits: Vec::new(),
+            epoch_words: Vec::new(),
+            epoch_distinct: 0,
             epoch_mean: OnlineMean::new(),
             l2_tlb_accesses: 0,
             instructions_with_walks: 0,
@@ -129,11 +134,26 @@ impl MetricsCollector {
     /// Records one GPU shared-L2-TLB access by wavefront `wf` (Figure 12).
     pub fn l2_tlb_access(&mut self, wf: u32) {
         self.l2_tlb_accesses += 1;
-        self.epoch_set.insert(wf);
+        let (word, bit) = ((wf / 64) as usize, 1u64 << (wf % 64));
+        if word >= self.epoch_bits.len() {
+            self.epoch_bits.resize(word + 1, 0);
+        }
+        let bits = &mut self.epoch_bits[word];
+        if *bits & bit == 0 {
+            if *bits == 0 {
+                self.epoch_words.push(word as u32);
+            }
+            *bits |= bit;
+            self.epoch_distinct += 1;
+        }
         self.epoch_count += 1;
         if self.epoch_count == self.epoch_len {
-            self.epoch_mean.add(self.epoch_set.len() as f64);
-            self.epoch_set.clear();
+            self.epoch_mean.add(self.epoch_distinct as f64);
+            for &w in &self.epoch_words {
+                self.epoch_bits[w as usize] = 0;
+            }
+            self.epoch_words.clear();
+            self.epoch_distinct = 0;
             self.epoch_count = 0;
         }
     }
@@ -373,6 +393,21 @@ mod tests {
         let r = m.finish(1, 0, 0, 0, 0);
         assert!((r.mean_epoch_wavefronts - 1.5).abs() < 1e-12);
         assert_eq!(r.l2_tlb_accesses, 8);
+    }
+
+    #[test]
+    fn epochs_reset_every_word_they_touch() {
+        let mut m = MetricsCollector::new(3);
+        // Epoch 1: ids in three different words → 3. Epoch 2 reuses one
+        // of them plus a new word → 2, with nothing carried over.
+        for wf in [0, 64, 1000] {
+            m.l2_tlb_access(wf);
+        }
+        for wf in [1000, 1000, 130] {
+            m.l2_tlb_access(wf);
+        }
+        let r = m.finish(1, 0, 0, 0, 0);
+        assert!((r.mean_epoch_wavefronts - 2.5).abs() < 1e-12);
     }
 
     #[test]

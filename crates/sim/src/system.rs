@@ -165,9 +165,12 @@ fn count_events(batch: &[Event]) {
     }
 }
 
-/// [`EventQueue::pop_bucket_into`] swaps whole bucket buffers into the
+/// [`EventQueue::pop_bucket_into`] hands whole bucket buffers to the
 /// drain batch, but events are still copied on `schedule` and iterated in
-/// the dispatch loop, so `Event`'s size is hot-loop traffic either way.
+/// the dispatch loop, so `Event`'s size is hot-loop traffic either way. It
+/// also sizes the queue's memory: each pooled bucket buffer holds up to
+/// the largest same-cycle burst (~50 events per SIMD instruction on the
+/// irregular workloads) at this many bytes per event.
 /// Keep the payload within one 16-byte slot: tag + the widest field
 /// (`PhysAddr`/`VirtPage`, 8 bytes) pack into two words. Growing a variant
 /// past this budget is a deliberate perf decision, not an accident — this

@@ -108,4 +108,10 @@ echo "== workspace unit tests (every crate's lib tests)"
 # and workload unit tests.
 cargo test -q --workspace --lib
 
+echo "== simbench builds and passes its unit tests (its own workspace)"
+# The benchmark links the library crates but sits outside this workspace,
+# so nothing above compiles it; an API change would otherwise surface only
+# at the next benchmark run.
+cargo test --release --offline -q --manifest-path simbench/Cargo.toml
+
 echo "CI OK"
