@@ -115,14 +115,6 @@ impl SchedulerKind {
         )
     }
 
-    /// Whether this policy batches same-instruction requests.
-    pub fn batches(self) -> bool {
-        matches!(
-            self,
-            SchedulerKind::BatchOnly | SchedulerKind::SimtAware | SchedulerKind::HeaviestFirst
-        )
-    }
-
     /// Whether starved requests pre-empt this policy's choice. The pure
     /// baselines opt out: FCFS is starvation-free by construction and
     /// Random stays the paper's unmodified straw-man.
@@ -522,14 +514,14 @@ mod tests {
     #[test]
     fn capability_flags() {
         use SchedulerKind::*;
-        let flags = |k: SchedulerKind| (k.uses_scores(), k.batches(), k.honors_aging());
-        assert_eq!(flags(Fcfs), (false, false, false));
-        assert_eq!(flags(Random), (false, false, false));
-        assert_eq!(flags(SjfOnly), (true, false, true));
-        assert_eq!(flags(BatchOnly), (false, true, true));
-        assert_eq!(flags(SimtAware), (true, true, true));
-        assert_eq!(flags(HeaviestFirst), (true, true, true));
-        assert_eq!(flags(RoundRobin), (false, false, true));
+        let flags = |k: SchedulerKind| (k.uses_scores(), k.honors_aging());
+        assert_eq!(flags(Fcfs), (false, false));
+        assert_eq!(flags(Random), (false, false));
+        assert_eq!(flags(SjfOnly), (true, true));
+        assert_eq!(flags(BatchOnly), (false, true));
+        assert_eq!(flags(SimtAware), (true, true));
+        assert_eq!(flags(HeaviestFirst), (true, true));
+        assert_eq!(flags(RoundRobin), (false, true));
     }
 
     #[test]

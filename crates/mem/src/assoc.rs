@@ -22,25 +22,31 @@
 //! is optimized for the probe path (DESIGN.md §10, §14):
 //!
 //! * each set owns one contiguous, 64-byte-aligned **packed line**: word 0
-//!   is the valid bitmask, word 1 the tree-PLRU direction bits, words 2..
-//!   the tags (one 8-byte word per way), followed — only under
-//!   [`Replacement::Lru`] — by the per-way access stamps. A probe loads the
-//!   mask, the replacement state, and the first tags with a single cache
-//!   line instead of touching three separate arrays;
+//!   is the valid bitmask, word 1 the tree-PLRU direction bits, then the
+//!   way fingerprints (eight 8-bit fingerprints per word), then the tags
+//!   (one `u64` word per way), followed — only under [`Replacement::Lru`]
+//!   — by the per-way access stamps. A probe loads the mask, the
+//!   replacement state, the fingerprints and the first tags with a single
+//!   cache line instead of touching separate arrays;
 //! * validity is one `u64` bitmask per set (way counts are capped at 64;
-//!   the largest real geometry is 32), so tag scans visit only live ways
-//!   and "first free way" is a single `trailing_zeros`;
+//!   the largest real geometry is 32), so scans visit only live ways and
+//!   "first free way" is a single `trailing_zeros`;
+//! * a lookup **filters before it compares**: one SWAR zero-byte test on
+//!   `fp_word ^ broadcast(fp(key))` flags the ways of eight whose
+//!   fingerprint equals the key's, masked by the valid bits, and only
+//!   those candidates' full tags are compared. A miss in a full 32-way
+//!   set tests four fingerprint words and, on average, an eighth of one
+//!   tag instead of 32 tags;
 //! * values stay in a parallel dense array — they are only read on a hit,
-//!   so keeping them out of the packed line keeps the tag scan dense.
+//!   so keeping them out of the packed line keeps the probe dense.
 //!
-//! Invalid tag words are never read as `K`: every tag access is guarded by
-//! the set's valid bitmask, which is the safety invariant behind the raw
-//! word storage (`K` is `Copy`, at most 8 bytes, and word-alignable, so a
-//! tag word round-trips it losslessly). Values use the same invariant over
-//! `MaybeUninit` storage.
+//! Tags are `u64` (every TLB, page-walk-cache level and data cache keys
+//! an address-derived `u64`). Tag and fingerprint words are plain
+//! integers, so reading an invalid way's stale word is harmless; the
+//! valid bitmask decides which ways count. Values live in `MaybeUninit`
+//! storage and are only read for ways whose valid bit is set.
 
 use core::fmt;
-use core::marker::PhantomData;
 use core::mem::MaybeUninit;
 
 use ptw_types::work::{self, Work};
@@ -116,28 +122,29 @@ impl Iterator for BitIter {
     }
 }
 
-/// A set-associative array mapping keys to values.
+/// A set-associative array mapping `u64` keys to values.
 ///
 /// The caller computes the set index (typically from address bits); the
 /// array manages tags, recency and eviction within each set.
 ///
 /// ```
 /// use ptw_mem::assoc::{AssocArray, Replacement};
-/// let mut a: AssocArray<u64, &str> = AssocArray::new(2, 2, Replacement::Lru);
+/// let mut a: AssocArray<&str> = AssocArray::new(2, 2, Replacement::Lru);
 /// assert!(a.fill(0, 10, "x").is_none());
 /// assert!(a.fill(0, 20, "y").is_none());
 /// assert_eq!(a.lookup(0, 10), Some(&"x"));        // 10 is now MRU
 /// let evicted = a.fill(0, 30, "z");               // evicts LRU (20)
 /// assert_eq!(evicted, Some((20, "y")));
 /// ```
-pub struct AssocArray<K, V> {
+pub struct AssocArray<V> {
     sets: usize,
     ways: usize,
     /// Packed per-set lines, [`stride`](Self::stride) blocks per set.
-    /// Word layout within a set: `[valid mask][plru bits][tags × ways]`
-    /// followed, under [`Replacement::Lru`] only, by `[stamps × ways]`.
-    /// Tag word `w` holds a `K` (written in place, at most 8 bytes) and is
-    /// initialized iff bit `w` of the valid word is set.
+    /// Word layout within a set: `[valid mask][plru bits][fingerprints ×
+    /// ceil(ways / 8)][tags × ways]` followed, under [`Replacement::Lru`]
+    /// only, by `[stamps × ways]`. Way `w`'s fingerprint is byte `w % 8`
+    /// of fingerprint word `w / 8`; fingerprint and tag of way `w` mean
+    /// something iff bit `w` of the valid word is set.
     lines: Box<[LineBlock]>,
     /// [`LineBlock`]s per set.
     stride: usize,
@@ -150,8 +157,6 @@ pub struct AssocArray<K, V> {
     policy: Replacement,
     tick: u64,
     rng: ptw_types::rng::SplitMix64,
-    /// Ties `K`'s auto traits to the array (tags live in raw words).
-    _tag: PhantomData<K>,
 }
 
 /// One 64-byte-aligned, 64-byte chunk of the packed per-set region; a
@@ -165,12 +170,46 @@ struct LineBlock([u64; 8]);
 const _: () = assert!(core::mem::size_of::<LineBlock>() == 64);
 const _: () = assert!(core::mem::align_of::<LineBlock>() == 64);
 
-/// Word offsets inside a packed set line.
+/// Word offsets inside a packed set line; the tags follow the
+/// [`fp_words`] fingerprint words.
 const VALID_WORD: usize = 0;
 const META_WORD: usize = 1;
-const TAGS_WORD: usize = 2;
+const FP_WORD: usize = 2;
 
-impl<K: Eq + Copy, V: Copy> AssocArray<K, V> {
+/// Fingerprint words of a `ways`-way set: eight 8-bit fingerprints each.
+/// Derived from `ways` on every access rather than stored, so the struct
+/// of every TLB, PWC level and cache stays the same size.
+#[inline]
+const fn fp_words(ways: usize) -> usize {
+    ways.div_ceil(8)
+}
+
+/// `0x01` in every byte: `b * ONES` broadcasts byte `b` to all eight.
+const ONES: u64 = 0x0101_0101_0101_0101;
+/// `0x7f` in every byte.
+const LOW7: u64 = 0x7f7f_7f7f_7f7f_7f7f;
+
+/// The 8-bit fingerprint of `key`: the top byte of the key times an odd
+/// constant (the multiply of `U64Map`'s multiply-xor hash), so every key
+/// bit — set-index bits included — can reach it.
+#[inline]
+const fn fingerprint(key: u64) -> u64 {
+    key.wrapping_mul(0xf135_7aea_2e62_a9c5) >> 56
+}
+
+/// The zero bytes of `x` as an 8-bit mask, bit `b` for byte `b`.
+///
+/// The per-byte test is exact (no borrow crosses a byte): the high bit of
+/// a byte of `!((x & LOW7) + LOW7 | x | LOW7)` is set iff the byte is
+/// zero. The multiply then gathers the eight high bits into the top byte
+/// (each partial product lands on its own bit, so nothing carries).
+#[inline]
+const fn zero_bytes(x: u64) -> u64 {
+    let high = !(((x & LOW7) + LOW7) | x | LOW7);
+    ((high >> 7).wrapping_mul(0x0102_0408_1020_4080)) >> 56
+}
+
+impl<V: Copy> AssocArray<V> {
     /// Creates an empty array of `sets` sets with `ways` ways each.
     ///
     /// # Panics
@@ -203,13 +242,9 @@ impl<K: Eq + Copy, V: Copy> AssocArray<K, V> {
                 "TreePlru requires power-of-two ways"
             );
         }
-        assert!(
-            core::mem::size_of::<K>() <= 8 && core::mem::align_of::<K>() <= 8,
-            "AssocArray tags must fit one 8-byte word"
-        );
         let slots = sets * ways;
-        let stride_words = TAGS_WORD + ways + if policy == Replacement::Lru { ways } else { 0 };
-        let stride = stride_words.div_ceil(8);
+        let stamps = if policy == Replacement::Lru { ways } else { 0 };
+        let stride = (FP_WORD + fp_words(ways) + ways + stamps).div_ceil(8);
         AssocArray {
             sets,
             ways,
@@ -220,7 +255,6 @@ impl<K: Eq + Copy, V: Copy> AssocArray<K, V> {
             policy,
             tick: 0,
             rng: ptw_types::rng::SplitMix64::new(seed),
-            _tag: PhantomData,
         }
     }
 
@@ -266,6 +300,12 @@ impl<K: Eq + Copy, V: Copy> AssocArray<K, V> {
         u64::MAX >> (64 - self.ways)
     }
 
+    /// Word offset of way 0's tag inside a packed line.
+    #[inline]
+    fn tags_word(&self) -> usize {
+        FP_WORD + fp_words(self.ways)
+    }
+
     /// First word of `set`'s packed line. The slice index bounds-checks
     /// `set` (the remaining `stride - 1` blocks are in bounds by
     /// construction), so the returned pointer covers the whole line.
@@ -305,36 +345,32 @@ impl<K: Eq + Copy, V: Copy> AssocArray<K, V> {
         unsafe { *self.words_mut(set).add(META_WORD) = bits }
     }
 
-    /// Reads way `way`'s tag by value.
-    ///
-    /// # Safety
-    ///
-    /// Bit `way` of the set's valid word must be set: only then does the
-    /// tag word hold a `K` written by [`set_tag`](Self::set_tag).
+    /// Borrows way `way`'s tag word in place; it holds the way's key while
+    /// bit `way` of the set's valid word is set.
     #[inline]
-    unsafe fn tag(&self, set: usize, way: usize) -> K {
+    fn tag(&self, set: usize, way: usize) -> &u64 {
         debug_assert!(way < self.ways);
-        unsafe { (self.words(set).add(TAGS_WORD + way) as *const K).read() }
+        // SAFETY: `words` bounds-checks `set` and the tag run lies inside
+        // the set's `stride` blocks.
+        unsafe { &*self.words(set).add(self.tags_word() + way) }
     }
 
-    /// Borrows way `way`'s tag in place (tag words are 8-aligned, which
-    /// satisfies any `K` the constructor admits).
-    ///
-    /// # Safety
-    ///
-    /// As for [`tag`](Self::tag).
+    /// Stores `key` as way `way`'s tag and its fingerprint as byte
+    /// `way % 8` of fingerprint word `way / 8`. The byte is placed with
+    /// shifts and masks on the whole word, so the layout does not depend
+    /// on the host's byte order.
     #[inline]
-    unsafe fn tag_ref(&self, set: usize, way: usize) -> &K {
+    fn set_tag(&mut self, set: usize, way: usize, key: u64) {
         debug_assert!(way < self.ways);
-        unsafe { &*(self.words(set).add(TAGS_WORD + way) as *const K) }
-    }
-
-    #[inline]
-    fn set_tag(&mut self, set: usize, way: usize, key: K) {
-        debug_assert!(way < self.ways);
-        // SAFETY: the tag word is in bounds and writing a `K` (≤ 8 bytes,
-        // 8-aligned word) never overruns it.
-        unsafe { (self.words_mut(set).add(TAGS_WORD + way) as *mut K).write(key) }
+        let tags = self.tags_word();
+        let shift = 8 * (way % 8);
+        // SAFETY: the fingerprint and tag words are inside the set's line.
+        unsafe {
+            let words = self.words_mut(set);
+            let fp = words.add(FP_WORD + way / 8);
+            *fp = (*fp & !(0xff << shift)) | fingerprint(key) << shift;
+            *words.add(tags + way) = key;
+        }
     }
 
     /// LRU access stamp of `way`; stamp words exist only under
@@ -343,15 +379,15 @@ impl<K: Eq + Copy, V: Copy> AssocArray<K, V> {
     fn stamp(&self, set: usize, way: usize) -> u64 {
         debug_assert!(self.policy == Replacement::Lru && way < self.ways);
         // SAFETY: under Lru the stride includes the stamp run.
-        unsafe { *self.words(set).add(TAGS_WORD + self.ways + way) }
+        unsafe { *self.words(set).add(self.tags_word() + self.ways + way) }
     }
 
     #[inline]
     fn set_stamp(&mut self, set: usize, way: usize, stamp: u64) {
         debug_assert!(self.policy == Replacement::Lru && way < self.ways);
-        let ways = self.ways;
+        let at = self.tags_word() + self.ways + way;
         // SAFETY: as in `stamp`.
-        unsafe { *self.words_mut(set).add(TAGS_WORD + ways + way) = stamp }
+        unsafe { *self.words_mut(set).add(at) = stamp }
     }
 
     /// Hints the host CPU to pull `set`'s packed line (and its value run)
@@ -376,30 +412,44 @@ impl<K: Eq + Copy, V: Copy> AssocArray<K, V> {
         let _ = set;
     }
 
-    /// The valid way of `set` holding `key`. Ways are compared in index
-    /// order, each compared tag counting as one [`Work::AssocTags`].
+    /// The valid way of `set` holding `key`.
+    ///
+    /// The fingerprint words up to the one holding the highest valid way
+    /// are tested, each counting as one [`Work::AssocFpWords`]; then the
+    /// valid ways whose fingerprint matches are compared in index order,
+    /// each compared tag counting as one [`Work::AssocTags`]. Keys are
+    /// unique within a set, so the first exact match is the only one.
     #[inline]
-    fn find_way(&self, set: usize, key: K) -> Option<usize> {
+    fn find_way(&self, set: usize, key: u64) -> Option<usize> {
         let words = self.words(set);
-        // SAFETY: word 0 is the valid mask; tag words are only read for
-        // ways whose valid bit is set.
-        let mut compared = 0;
-        let found = unsafe {
-            let mut mask = *words.add(VALID_WORD);
-            loop {
-                if mask == 0 {
-                    break None;
-                }
-                let w = mask.trailing_zeros() as usize;
-                compared += 1;
-                if (words.add(TAGS_WORD + w) as *const K).read() == key {
-                    break Some(w);
-                }
-                mask &= mask - 1;
+        let tags = self.tags_word();
+        let probe = fingerprint(key) * ONES;
+        // SAFETY: `words` bounds-checks `set`; the valid mask only has bits
+        // below `ways`, so every fingerprint word and tag word read here
+        // lies inside the set's line.
+        unsafe {
+            let valid = *words.add(VALID_WORD);
+            let tested = (64 - valid.leading_zeros() as usize).div_ceil(8);
+            let mut candidates = 0;
+            for i in 0..tested {
+                candidates |= zero_bytes(*words.add(FP_WORD + i) ^ probe) << (8 * i);
             }
-        };
-        work::add(Work::AssocTags, compared);
-        found
+            candidates &= valid;
+            work::add(Work::AssocFpWords, tested as u64);
+            let mut compared = 0;
+            let mut found = None;
+            while candidates != 0 {
+                let w = candidates.trailing_zeros() as usize;
+                compared += 1;
+                if *words.add(tags + w) == key {
+                    found = Some(w);
+                    break;
+                }
+                candidates &= candidates - 1;
+            }
+            work::add(Work::AssocTags, compared);
+            found
+        }
     }
 
     fn touch(&mut self, set: usize, way: usize) {
@@ -448,7 +498,11 @@ impl<K: Eq + Copy, V: Copy> AssocArray<K, V> {
     }
 
     /// Looks up `key` in `set`, updating recency on a hit.
-    pub fn lookup(&mut self, set: usize, key: K) -> Option<&V> {
+    // The `#[inline]` on this and the three wrappers below keeps them
+    // inlined into the TLB and PWC call sites; without it `probe` is
+    // compiled out of line around the larger `find_way`.
+    #[inline]
+    pub fn lookup(&mut self, set: usize, key: u64) -> Option<&V> {
         let way = self.find_way(set, key)?;
         self.touch(set, way);
         let slot = self.slot(set, way);
@@ -457,7 +511,8 @@ impl<K: Eq + Copy, V: Copy> AssocArray<K, V> {
     }
 
     /// Looks up `key` in `set` with mutable access, updating recency.
-    pub fn lookup_mut(&mut self, set: usize, key: K) -> Option<&mut V> {
+    #[inline]
+    pub fn lookup_mut(&mut self, set: usize, key: u64) -> Option<&mut V> {
         let way = self.find_way(set, key)?;
         self.touch(set, way);
         let slot = self.slot(set, way);
@@ -466,14 +521,16 @@ impl<K: Eq + Copy, V: Copy> AssocArray<K, V> {
     }
 
     /// Checks for `key` *without* updating recency (a probe, not an access).
-    pub fn probe(&self, set: usize, key: K) -> Option<&V> {
+    #[inline]
+    pub fn probe(&self, set: usize, key: u64) -> Option<&V> {
         let way = self.find_way(set, key)?;
         // SAFETY: `find_way` only returns ways marked valid.
         Some(unsafe { self.values[self.slot(set, way)].assume_init_ref() })
     }
 
     /// Probes without recency update, returning mutable access.
-    pub fn probe_mut(&mut self, set: usize, key: K) -> Option<&mut V> {
+    #[inline]
+    pub fn probe_mut(&mut self, set: usize, key: u64) -> Option<&mut V> {
         let way = self.find_way(set, key)?;
         let slot = self.slot(set, way);
         // SAFETY: `find_way` only returns ways marked valid.
@@ -486,7 +543,7 @@ impl<K: Eq + Copy, V: Copy> AssocArray<K, V> {
     /// updated) and `None` is returned. Otherwise the victim chosen by the
     /// replacement policy is returned as `Some((key, value))` if a valid
     /// entry had to be evicted.
-    pub fn fill(&mut self, set: usize, key: K, value: V) -> Option<(K, V)> {
+    pub fn fill(&mut self, set: usize, key: u64, value: V) -> Option<(u64, V)> {
         self.fill_pinned(set, key, value, |_, _| false)
     }
 
@@ -496,10 +553,10 @@ impl<K: Eq + Copy, V: Copy> AssocArray<K, V> {
     pub fn fill_pinned(
         &mut self,
         set: usize,
-        key: K,
+        key: u64,
         value: V,
-        pinned: impl Fn(&K, &V) -> bool,
-    ) -> Option<(K, V)> {
+        pinned: impl Fn(&u64, &V) -> bool,
+    ) -> Option<(u64, V)> {
         if let Some(way) = self.find_way(set, key) {
             let slot = self.slot(set, way);
             self.values[slot].write(value);
@@ -523,7 +580,9 @@ impl<K: Eq + Copy, V: Copy> AssocArray<K, V> {
         let slot = self.slot(set, way);
         // SAFETY: the set is full (no free way above), so the victim slot
         // is initialized.
-        let old = unsafe { (self.tag(set, way), self.values[slot].assume_init_read()) };
+        let old = (*self.tag(set, way), unsafe {
+            self.values[slot].assume_init_read()
+        });
         self.set_tag(set, way, key);
         self.values[slot].write(value);
         self.touch(set, way);
@@ -532,7 +591,7 @@ impl<K: Eq + Copy, V: Copy> AssocArray<K, V> {
 
     /// The way the policy would evict next (pinning-aware); only called on
     /// a full set.
-    fn victim_way(&mut self, set: usize, pinned: &impl Fn(&K, &V) -> bool) -> usize {
+    fn victim_way(&mut self, set: usize, pinned: &impl Fn(&u64, &V) -> bool) -> usize {
         debug_assert_eq!(self.valid(set), self.full_mask(), "victim of non-full set");
         // The PRNG draw happens unconditionally under Random — before any
         // pinned check — to keep the stream identical to the original
@@ -545,12 +604,9 @@ impl<K: Eq + Copy, V: Copy> AssocArray<K, V> {
         let base = set * self.ways;
         let is_pinned = |w: usize| {
             // SAFETY: the set is full, so every way is initialized.
-            unsafe {
-                pinned(
-                    self.tag_ref(set, w),
-                    self.values[base + w].assume_init_ref(),
-                )
-            }
+            pinned(self.tag(set, w), unsafe {
+                self.values[base + w].assume_init_ref()
+            })
         };
         match self.policy {
             Replacement::Lru => {
@@ -601,7 +657,7 @@ impl<K: Eq + Copy, V: Copy> AssocArray<K, V> {
     }
 
     /// Removes `key` from `set`, returning its value if present.
-    pub fn invalidate(&mut self, set: usize, key: K) -> Option<V> {
+    pub fn invalidate(&mut self, set: usize, key: u64) -> Option<V> {
         let way = self.find_way(set, key)?;
         let mask = self.valid(set) & !(1 << way);
         self.set_valid(set, mask);
@@ -621,26 +677,23 @@ impl<K: Eq + Copy, V: Copy> AssocArray<K, V> {
 
     /// Iterates over all valid `(set, key, value)` triples in set-major,
     /// way-ascending order.
-    pub fn iter(&self) -> impl Iterator<Item = (usize, &K, &V)> + '_ {
+    pub fn iter(&self) -> impl Iterator<Item = (usize, &u64, &V)> + '_ {
         (0..self.sets).flat_map(move |set| self.iter_set(set).map(move |(k, v)| (set, k, v)))
     }
 
     /// Iterates the valid `(key, value)` pairs of one set, way-ascending.
-    pub fn iter_set(&self, set: usize) -> impl Iterator<Item = (&K, &V)> + '_ {
+    pub fn iter_set(&self, set: usize) -> impl Iterator<Item = (&u64, &V)> + '_ {
         let base = set * self.ways;
         BitIter(self.valid(set)).map(move |w| {
             // SAFETY: `BitIter` yields only ways whose valid bit is set.
-            unsafe {
-                (
-                    self.tag_ref(set, w),
-                    self.values[base + w].assume_init_ref(),
-                )
-            }
+            (self.tag(set, w), unsafe {
+                self.values[base + w].assume_init_ref()
+            })
         })
     }
 }
 
-impl<K, V> fmt::Debug for AssocArray<K, V> {
+impl<V> fmt::Debug for AssocArray<V> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("AssocArray")
             .field("sets", &self.sets)
@@ -876,7 +929,7 @@ mod tests {
 
     #[test]
     fn lookup_miss_then_hit() {
-        let mut a: AssocArray<u64, u32> = AssocArray::new(4, 2, Replacement::Lru);
+        let mut a: AssocArray<u32> = AssocArray::new(4, 2, Replacement::Lru);
         assert_eq!(a.lookup(0, 5), None);
         a.fill(0, 5, 50);
         assert_eq!(a.lookup(0, 5), Some(&50));
@@ -885,7 +938,7 @@ mod tests {
 
     #[test]
     fn lru_evicts_least_recent() {
-        let mut a: AssocArray<u64, u32> = AssocArray::new(1, 2, Replacement::Lru);
+        let mut a: AssocArray<u32> = AssocArray::new(1, 2, Replacement::Lru);
         a.fill(0, 1, 10);
         a.fill(0, 2, 20);
         a.lookup(0, 1); // 2 becomes LRU
@@ -897,7 +950,7 @@ mod tests {
 
     #[test]
     fn probe_does_not_update_recency() {
-        let mut a: AssocArray<u64, u32> = AssocArray::new(1, 2, Replacement::Lru);
+        let mut a: AssocArray<u32> = AssocArray::new(1, 2, Replacement::Lru);
         a.fill(0, 1, 10);
         a.fill(0, 2, 20);
         a.probe(0, 1); // must NOT refresh 1
@@ -907,7 +960,7 @@ mod tests {
 
     #[test]
     fn fill_existing_key_replaces_value_without_eviction() {
-        let mut a: AssocArray<u64, u32> = AssocArray::new(1, 2, Replacement::Lru);
+        let mut a: AssocArray<u32> = AssocArray::new(1, 2, Replacement::Lru);
         a.fill(0, 1, 10);
         a.fill(0, 2, 20);
         assert_eq!(a.fill(0, 1, 11), None);
@@ -917,7 +970,7 @@ mod tests {
 
     #[test]
     fn pinned_entries_survive() {
-        let mut a: AssocArray<u64, u32> = AssocArray::new(1, 2, Replacement::Lru);
+        let mut a: AssocArray<u32> = AssocArray::new(1, 2, Replacement::Lru);
         a.fill(0, 1, 10);
         a.fill(0, 2, 20);
         // Key 1 is LRU but pinned; 2 must be evicted instead.
@@ -928,36 +981,135 @@ mod tests {
 
     #[test]
     fn all_pinned_falls_back_to_lru() {
-        let mut a: AssocArray<u64, u32> = AssocArray::new(1, 2, Replacement::Lru);
+        let mut a: AssocArray<u32> = AssocArray::new(1, 2, Replacement::Lru);
         a.fill(0, 1, 10);
         a.fill(0, 2, 20);
         let ev = a.fill_pinned(0, 3, 30, |_, _| true);
         assert_eq!(ev, Some((1, 10))); // LRU fallback
     }
 
-    /// A hit on the k-th valid way compares k tags; a miss compares every
-    /// valid way, and invalid ways are never compared.
+    /// The first `n` keys from `from` up whose fingerprint is `fp`.
+    fn keys_with_fp(fp: u64, from: u64, n: usize) -> Vec<u64> {
+        (from..).filter(|&k| fingerprint(k) == fp).take(n).collect()
+    }
+
+    /// A key from `from` up whose fingerprint is none of `taken`.
+    fn key_avoiding(taken: &[u64], from: u64) -> u64 {
+        (from..)
+            .find(|&k| !taken.contains(&fingerprint(k)))
+            .expect("some fingerprint is free")
+    }
+
+    /// A lookup tests the fingerprint words that hold a valid way and
+    /// compares full tags only for the valid ways whose fingerprint
+    /// matches, in index order up to the hit. A miss whose fingerprint
+    /// matches no valid way compares no tag; invalid ways, stale bytes
+    /// included, are never compared.
     #[test]
     #[cfg_attr(not(debug_assertions), ignore)]
     fn lookups_count_the_tags_they_compare() {
-        let mut a: AssocArray<u64, u32> = AssocArray::new(1, 8, Replacement::Lru);
-        for k in 0..5 {
-            a.fill(0, k, k as u32);
+        let mut a: AssocArray<u32> = AssocArray::new(1, 16, Replacement::Lru);
+        // Ways 0 and 2 share a fingerprint; ways 1 and 3 do not.
+        let twins = keys_with_fp(0x5a, 1, 3);
+        let other = key_avoiding(&[0x5a], 1);
+        let third = key_avoiding(&[0x5a, fingerprint(other)], other + 1);
+        for (v, k) in [twins[0], other, twins[1], third].into_iter().enumerate() {
+            a.fill(0, k, v as u32);
         }
-        a.invalidate(0, 1); // valid ways: 0, 2, 3, 4
-        let tags = || work::take()[Work::AssocTags as usize];
-        tags();
-        assert_eq!(a.probe(0, 0), Some(&0));
-        assert_eq!(tags(), 1);
-        assert_eq!(a.probe(0, 3), Some(&3));
-        assert_eq!(tags(), 3, "way 3 is the third valid way");
-        assert_eq!(a.lookup(0, 99), None);
-        assert_eq!(tags(), 4, "a miss compares every valid way");
+        let counts = || {
+            let c = work::take();
+            (c[Work::AssocFpWords as usize], c[Work::AssocTags as usize])
+        };
+        counts();
+        assert_eq!(a.probe(0, twins[0]), Some(&0));
+        assert_eq!(counts(), (1, 1), "the first candidate hits");
+        assert_eq!(a.probe(0, twins[1]), Some(&2));
+        assert_eq!(counts(), (1, 2), "way 0 is a false candidate for way 2");
+        assert_eq!(a.probe(0, third), Some(&3));
+        assert_eq!(counts(), (1, 1), "a unique fingerprint compares one tag");
+        let miss = key_avoiding(&[0x5a, fingerprint(other), fingerprint(third)], third + 1);
+        assert_eq!(a.lookup(0, miss), None);
+        assert_eq!(counts(), (1, 0), "a filtered miss compares no tag");
+        assert_eq!(a.lookup(0, twins[2]), None);
+        assert_eq!(counts(), (1, 2), "a colliding miss compares both twins");
+        // Invalidating way 0 leaves its tag and fingerprint bytes behind;
+        // the valid mask keeps them from ever matching.
+        assert_eq!(a.invalidate(0, twins[0]), Some(0));
+        counts();
+        assert_eq!(a.probe(0, twins[0]), None);
+        assert_eq!(counts(), (1, 1), "only the live twin is compared");
+        // Way 8 opens the second fingerprint word; an empty set tests none.
+        for k in 0..6 {
+            a.fill(0, (1 << 40) + k, 0);
+        }
+        assert_eq!(a.set_len(0), 9);
+        counts();
+        assert_eq!(a.probe(0, twins[2]), None);
+        assert_eq!(counts().0, 2, "two words hold valid ways");
+        a.clear();
+        counts();
+        assert_eq!(a.probe(0, twins[1]), None);
+        assert_eq!(counts(), (0, 0), "an empty set reads no fingerprint");
+    }
+
+    /// Keys that share one fingerprint all live in one set and each hits
+    /// exactly its own value; invalidated ways' stale fingerprint and tag
+    /// words never match, neither for the removed key nor for its twins.
+    #[test]
+    fn equal_fingerprints_hit_exactly() {
+        for policy in [Replacement::Random, Replacement::Lru, Replacement::TreePlru] {
+            let mut a: AssocArray<u64> = AssocArray::with_seed(1, 32, policy, 5);
+            let keys = keys_with_fp(0xc3, 0, 40);
+            for &k in &keys[..32] {
+                assert_eq!(a.fill(0, k, k * 3), None);
+            }
+            for &k in &keys[..32] {
+                assert_eq!(a.probe(0, k), Some(&(k * 3)), "{policy:?}: key {k}");
+            }
+            for &k in &keys[32..] {
+                assert_eq!(a.probe(0, k), None, "{policy:?}: absent key {k}");
+            }
+            for &k in keys[..32].iter().step_by(3) {
+                assert_eq!(a.invalidate(0, k), Some(k * 3));
+                assert_eq!(a.probe(0, k), None, "{policy:?}: stale way {k} matched");
+            }
+            for (i, &k) in keys[..32].iter().enumerate() {
+                let want = (i % 3 != 0).then_some(k * 3);
+                assert_eq!(a.probe(0, k).copied(), want, "{policy:?}: key {k}");
+            }
+            // Refilling reuses the invalidated ways; every key still hits
+            // its own value.
+            for &k in &keys[32..] {
+                a.fill(0, k, k * 5);
+            }
+            for &k in &keys[32..] {
+                assert_eq!(a.probe(0, k), Some(&(k * 5)), "{policy:?}: refill {k}");
+            }
+        }
+    }
+
+    #[test]
+    fn zero_bytes_flags_exactly_the_zero_bytes() {
+        let mut rng = ptw_types::rng::SplitMix64::new(0x2e70);
+        for _ in 0..10_000 {
+            // Bias bytes toward 0x00, 0x01 and 0x80, the borrow-prone values.
+            let x = (0..8).fold(0u64, |x, b| {
+                let byte = match rng.index(4) {
+                    0 => 0,
+                    1 => 1,
+                    2 => 0x80,
+                    _ => rng.next_below(256),
+                };
+                x | byte << (8 * b)
+            });
+            let want = (0..8).fold(0, |m, b| m | u64::from((x >> (8 * b)) & 0xff == 0) << b);
+            assert_eq!(zero_bytes(x), want, "{x:#018x}");
+        }
     }
 
     #[test]
     fn invalidate_removes() {
-        let mut a: AssocArray<u64, u32> = AssocArray::new(2, 2, Replacement::Lru);
+        let mut a: AssocArray<u32> = AssocArray::new(2, 2, Replacement::Lru);
         a.fill(1, 7, 70);
         assert_eq!(a.invalidate(1, 7), Some(70));
         assert_eq!(a.probe(1, 7), None);
@@ -966,7 +1118,7 @@ mod tests {
 
     #[test]
     fn tree_plru_cycles_through_ways() {
-        let mut a: AssocArray<u64, u32> = AssocArray::new(1, 4, Replacement::TreePlru);
+        let mut a: AssocArray<u32> = AssocArray::new(1, 4, Replacement::TreePlru);
         for k in 0..4 {
             a.fill(0, k, k as u32);
         }
@@ -982,7 +1134,7 @@ mod tests {
 
     #[test]
     fn tree_plru_single_hot_way_is_protected() {
-        let mut a: AssocArray<u64, u32> = AssocArray::new(1, 4, Replacement::TreePlru);
+        let mut a: AssocArray<u32> = AssocArray::new(1, 4, Replacement::TreePlru);
         for k in 0..4 {
             a.fill(0, k, 0);
         }
@@ -996,18 +1148,18 @@ mod tests {
     #[test]
     #[should_panic]
     fn tree_plru_requires_pow2() {
-        let _ = AssocArray::<u64, ()>::new(1, 3, Replacement::TreePlru);
+        let _ = AssocArray::<()>::new(1, 3, Replacement::TreePlru);
     }
 
     #[test]
     #[should_panic]
     fn more_than_64_ways_panics() {
-        let _ = AssocArray::<u64, ()>::new(1, 65, Replacement::Lru);
+        let _ = AssocArray::<()>::new(1, 65, Replacement::Lru);
     }
 
     #[test]
     fn sixty_four_ways_work() {
-        let mut a: AssocArray<u64, ()> = AssocArray::new(1, 64, Replacement::Lru);
+        let mut a: AssocArray<()> = AssocArray::new(1, 64, Replacement::Lru);
         for k in 0..65u64 {
             a.fill(0, k, ());
         }
@@ -1018,14 +1170,14 @@ mod tests {
     #[test]
     fn random_replacement_is_deterministic_and_graceful() {
         // Two identically seeded arrays evict identically.
-        let mut a: AssocArray<u64, ()> = AssocArray::with_seed(1, 4, Replacement::Random, 7);
-        let mut b: AssocArray<u64, ()> = AssocArray::with_seed(1, 4, Replacement::Random, 7);
+        let mut a: AssocArray<()> = AssocArray::with_seed(1, 4, Replacement::Random, 7);
+        let mut b: AssocArray<()> = AssocArray::with_seed(1, 4, Replacement::Random, 7);
         for k in 0..100u64 {
             assert_eq!(a.fill(0, k, ()), b.fill(0, k, ()));
         }
         // Cyclic access over 6 keys with 4 ways: random replacement must
         // yield a non-zero hit rate (LRU would give exactly zero).
-        let mut c: AssocArray<u64, ()> = AssocArray::with_seed(1, 4, Replacement::Random, 9);
+        let mut c: AssocArray<()> = AssocArray::with_seed(1, 4, Replacement::Random, 9);
         let mut hits = 0;
         for round in 0..200u64 {
             for k in 0..6u64 {
@@ -1046,7 +1198,7 @@ mod tests {
 
     #[test]
     fn random_replacement_respects_pins() {
-        let mut a: AssocArray<u64, u32> = AssocArray::with_seed(1, 2, Replacement::Random, 3);
+        let mut a: AssocArray<u32> = AssocArray::with_seed(1, 2, Replacement::Random, 3);
         a.fill(0, 1, 0);
         a.fill(0, 2, 0);
         for k in 10..30u64 {
@@ -1062,7 +1214,7 @@ mod tests {
     fn random_all_pinned_falls_back_to_rng_choice() {
         // With every way pinned, Random must still evict — the way its own
         // PRNG drew — rather than loop or panic.
-        let mut a: AssocArray<u64, u32> = AssocArray::with_seed(1, 4, Replacement::Random, 11);
+        let mut a: AssocArray<u32> = AssocArray::with_seed(1, 4, Replacement::Random, 11);
         for k in 0..4 {
             a.fill(0, k, 0);
         }
@@ -1074,7 +1226,7 @@ mod tests {
 
     #[test]
     fn iter_visits_all() {
-        let mut a: AssocArray<u64, u32> = AssocArray::new(2, 2, Replacement::Lru);
+        let mut a: AssocArray<u32> = AssocArray::new(2, 2, Replacement::Lru);
         a.fill(0, 1, 10);
         a.fill(1, 2, 20);
         let mut items: Vec<(usize, u64, u32)> = a.iter().map(|(s, &k, &v)| (s, k, v)).collect();
@@ -1084,7 +1236,7 @@ mod tests {
 
     #[test]
     fn iter_set_and_set_len() {
-        let mut a: AssocArray<u64, u32> = AssocArray::new(2, 2, Replacement::Lru);
+        let mut a: AssocArray<u32> = AssocArray::new(2, 2, Replacement::Lru);
         a.fill(0, 1, 10);
         a.fill(0, 2, 20);
         a.fill(1, 3, 30);
@@ -1098,7 +1250,7 @@ mod tests {
 
     #[test]
     fn clear_empties() {
-        let mut a: AssocArray<u64, u32> = AssocArray::new(2, 2, Replacement::TreePlru);
+        let mut a: AssocArray<u32> = AssocArray::new(2, 2, Replacement::TreePlru);
         a.fill(0, 1, 10);
         a.clear();
         assert!(a.is_empty());
@@ -1110,25 +1262,22 @@ mod tests {
         assert_eq!(core::mem::size_of::<LineBlock>(), 64);
         assert_eq!(core::mem::align_of::<LineBlock>(), 64);
         // Every set's packed line starts on a host cache-line boundary,
-        // and a 16-way LRU set (2 meta + 16 tags + 16 stamps words) packs
-        // into 5 blocks.
-        let a: AssocArray<u64, u32> = AssocArray::new(4, 16, Replacement::Lru);
+        // and a 16-way LRU set (2 meta + 2 fingerprint + 16 tags + 16
+        // stamps words) packs into 5 blocks.
+        let a: AssocArray<u32> = AssocArray::new(4, 16, Replacement::Lru);
         assert_eq!(a.lines.as_ptr() as usize % 64, 0);
         assert_eq!(a.stride, 5);
-        // Without stamps the same geometry needs only 3 blocks.
-        let b: AssocArray<u64, u32> = AssocArray::new(4, 16, Replacement::Random);
+        // Without stamps the same geometry needs only 3 blocks (the shared
+        // L2 TLB shape), and a 32-way Random set (the L1 TLBs) 5.
+        let b: AssocArray<u32> = AssocArray::new(4, 16, Replacement::Random);
         assert_eq!(b.stride, 3);
-    }
-
-    #[test]
-    #[should_panic]
-    fn oversized_tag_type_panics() {
-        let _ = AssocArray::<[u64; 2], ()>::new(1, 2, Replacement::Lru);
+        let c: AssocArray<u32> = AssocArray::new(1, 32, Replacement::Random);
+        assert_eq!(c.stride, 5);
     }
 
     #[test]
     fn prefetch_set_is_inert() {
-        let mut a: AssocArray<u64, u32> = AssocArray::new(2, 2, Replacement::Lru);
+        let mut a: AssocArray<u32> = AssocArray::new(2, 2, Replacement::Lru);
         a.fill(0, 1, 10);
         a.prefetch_set(0);
         a.prefetch_set(999); // out of range: must not panic
@@ -1164,7 +1313,7 @@ mod differential {
 
     fn drive(policy: Replacement, seed: u64, pin: Pin) {
         let (sets, ways) = (4usize, 4usize);
-        let mut new_a: AssocArray<u64, u32> = AssocArray::with_seed(sets, ways, policy, seed);
+        let mut new_a: AssocArray<u32> = AssocArray::with_seed(sets, ways, policy, seed);
         let mut old_a: OracleArray<u64, u32> = OracleArray::with_seed(sets, ways, policy, seed);
         let mut rng = SplitMix64::new(seed ^ 0xD1FF_5EED);
         for step in 0..4000u32 {
@@ -1225,12 +1374,88 @@ mod differential {
         }
     }
 
+    /// [`drive`] at an arbitrary geometry, over a key pool that mixes a
+    /// dense range (1.5× the capacity, so sets fill, evict and miss) with
+    /// keys sharing one fingerprint (so candidates collide in every set).
+    fn drive_geometry(sets: usize, ways: usize, policy: Replacement, seed: u64, pin: Pin) {
+        let mut pool: Vec<u64> = (0..(sets * ways * 3 / 2) as u64).collect();
+        pool.extend(
+            (1u64 << 32..)
+                .filter(|&k| fingerprint(k) == 0x77)
+                .take(2 * ways),
+        );
+        let mut new_a: AssocArray<u32> = AssocArray::with_seed(sets, ways, policy, seed);
+        let mut old_a: OracleArray<u64, u32> = OracleArray::with_seed(sets, ways, policy, seed);
+        let mut rng = SplitMix64::new(seed ^ 0xF1A6_E5ED);
+        let at = |step| format!("step {step} ({sets}x{ways} {policy:?} seed {seed:#x})");
+        for step in 0..6000u32 {
+            let key = pool[rng.index(pool.len())];
+            let set = SetIndex::new(sets).of(key);
+            match rng.index(8) {
+                0..=3 => {
+                    let v = rng.next_below(1000) as u32;
+                    assert_eq!(
+                        new_a.fill_pinned(set, key, v, pin),
+                        old_a.fill_pinned(set, key, v, pin),
+                        "fill diverged at {}",
+                        at(step)
+                    );
+                }
+                4 => assert_eq!(
+                    new_a.lookup(set, key).copied(),
+                    old_a.lookup(set, key).copied(),
+                    "lookup diverged at {}",
+                    at(step)
+                ),
+                5 => assert_eq!(
+                    new_a.probe(set, key).copied(),
+                    old_a.probe(set, key).copied(),
+                    "probe diverged at {}",
+                    at(step)
+                ),
+                _ => assert_eq!(
+                    new_a.invalidate(set, key),
+                    old_a.invalidate(set, key),
+                    "invalidate diverged at {}",
+                    at(step)
+                ),
+            }
+            assert_eq!(new_a.len(), old_a.len(), "len diverged at {}", at(step));
+        }
+        let got: Vec<(usize, u64, u32)> = new_a.iter().map(|(s, &k, &v)| (s, k, v)).collect();
+        let want: Vec<(usize, u64, u32)> = old_a.iter().map(|(s, &k, &v)| (s, k, v)).collect();
+        assert_eq!(
+            got, want,
+            "final contents diverged ({sets}x{ways} {policy:?})"
+        );
+    }
+
+    /// Geometries whose ways span one, two, two-and-a-bit and eight
+    /// fingerprint words, including the real TLB shapes (32-way fully
+    /// associative Random, 16-way sets) and a partial last word.
+    #[test]
+    fn matches_oracle_across_fingerprint_word_boundaries() {
+        let geometries = [
+            (1, 32, Replacement::Random),
+            (2, 16, Replacement::Lru),
+            (1, 64, Replacement::Lru),
+            (1, 9, Replacement::Lru),
+            (1, 32, Replacement::TreePlru),
+        ];
+        for (sets, ways, policy) in geometries {
+            for pin in [PIN_NONE, PIN_SOME, PIN_ALL] {
+                for seed in [3u64, 0xFACE] {
+                    drive_geometry(sets, ways, policy, seed, pin);
+                }
+            }
+        }
+    }
+
     #[test]
     fn random_all_pinned_matches_oracle_victims() {
         // Focused stress on the Random + all-pinned fallback: every fill
         // evicts, and the victim must follow the oracle's PRNG stream.
-        let mut new_a: AssocArray<u64, u32> =
-            AssocArray::with_seed(1, 4, Replacement::Random, 0xACE);
+        let mut new_a: AssocArray<u32> = AssocArray::with_seed(1, 4, Replacement::Random, 0xACE);
         let mut old_a: OracleArray<u64, u32> =
             OracleArray::with_seed(1, 4, Replacement::Random, 0xACE);
         for k in 0..4u64 {

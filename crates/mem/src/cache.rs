@@ -97,7 +97,7 @@ impl CacheConfig {
 pub struct Cache {
     cfg: CacheConfig,
     set_ix: SetIndex,
-    array: AssocArray<u64, ()>,
+    array: AssocArray<()>,
     stats: HitRate,
 }
 

@@ -171,7 +171,7 @@ impl WalkPlan {
 pub struct PageWalkCache {
     cfg: PwcConfig,
     /// Index 0 ↔ level 4, 1 ↔ level 3, 2 ↔ level 2.
-    levels: [AssocArray<u64, PwcEntry>; 3],
+    levels: [AssocArray<PwcEntry>; 3],
     set_ix: SetIndex,
     stats: PwcStats,
 }

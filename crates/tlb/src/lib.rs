@@ -119,7 +119,7 @@ impl TlbConfig {
 #[derive(Debug)]
 struct LargeSide {
     set_ix: SetIndex,
-    array: AssocArray<u64, PhysFrame>,
+    array: AssocArray<PhysFrame>,
 }
 
 /// A single TLB (any level).
@@ -134,7 +134,7 @@ pub struct Tlb {
     cfg: TlbConfig,
     seed: u64,
     set_ix: SetIndex,
-    array: AssocArray<u64, PhysFrame>,
+    array: AssocArray<PhysFrame>,
     large: Option<LargeSide>,
     stats: HitRate,
     large_hits: u64,

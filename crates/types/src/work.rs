@@ -54,8 +54,11 @@ counters! {
     MemTick => "ev.mem_tick",
     /// Slots a `U64Map` examined in `find`, `insert`, `remove` and `grow`.
     MapSlots => "map.slots",
-    /// Tags an `AssocArray` compared while looking a key up.
+    /// Full tags an `AssocArray` compared while looking a key up: only
+    /// the valid ways whose fingerprint matched the key's.
     AssocTags => "assoc.tags",
+    /// Fingerprint words an `AssocArray` tested while looking a key up.
+    AssocFpWords => "assoc.fp_words",
     /// DRAM selects answered by the arrival-order scan.
     SelectScan => "dram.select_scan",
     /// DRAM selects answered by the per-bank index.

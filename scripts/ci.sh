@@ -9,9 +9,12 @@ cd "$(dirname "$0")/.."
 
 echo "== cargo fmt --check"
 cargo fmt --all -- --check
+# simbench is its own workspace, so `--all` does not reach it.
+cargo fmt --manifest-path simbench/Cargo.toml -- --check
 
 echo "== cargo clippy (all targets, warnings are errors)"
 cargo clippy --workspace --all-targets -- -D warnings
+cargo clippy --offline --manifest-path simbench/Cargo.toml --all-targets -- -D warnings
 
 echo "== cargo build --release (workspace, including bin targets)"
 cargo build --release --workspace
@@ -94,8 +97,9 @@ echo "== workspace unit tests (every crate's lib tests)"
 # exact work-count gate (tests/work_counts.rs). The randomized oracles,
 # test-only references and the work counters' meaning tests live in the
 # crates' unit tests: the shared U64Map against a std HashMap, and the
-# slots a lookup examines (ptw-types); the packed AssocArray and the tags
-# a lookup compares, the keyed MSHR, and the DRAM controller's carried
+# slots a lookup examines (ptw-types); the packed AssocArray at
+# fingerprint-word-crossing geometries and the fingerprint words and tags
+# a lookup reads, the keyed MSHR, and the DRAM controller's carried
 # pick against the legacy whole-queue scan over seeded submit/advance
 # streams, and which select path a queue depth takes (ptw-mem, DESIGN.md
 # §10/§13/§14); the candidate index, scheduler and IOMMU
@@ -104,8 +108,9 @@ echo "== workspace unit tests (every crate's lib tests)"
 # 2x2 mixed-page topology under FCFS and SIMT-aware, the config and
 # supervisor, and the one flat-line schema (flat.rs) behind the wire and
 # checkpoint codecs, with every member of a spec and a result line
-# checked as needed and read back (ptw-sim); and the page-table, TLB, GPU
-# and workload unit tests.
+# checked as needed and read back (ptw-sim); the hashed coalescer
+# dedup against its `contains` reference (ptw-gpu); and the page-table,
+# TLB and workload unit tests.
 cargo test -q --workspace --lib
 
 echo "== simbench builds and passes its unit tests (its own workspace)"

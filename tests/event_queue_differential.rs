@@ -9,9 +9,10 @@
 //! cases:
 //!
 //! * same-cycle bursts, so FIFO tie-breaking is exercised constantly;
-//! * far-horizon events (beyond `HORIZON` cycles ahead), so spill,
-//!   rebase, and migration interleave with direct near inserts;
-//! * pop droughts that drain the ring completely, forcing rebases.
+//! * far-horizon events (beyond `HORIZON` cycles ahead), so spill and
+//!   migration as the ring slides interleave with direct near inserts;
+//! * pop droughts that drain the ring completely, forcing the clock to
+//!   jump to the earliest far event.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;

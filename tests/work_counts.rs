@@ -2,9 +2,9 @@
 //!
 //! Each cell of the benchmark's three workloads runs at small scale and
 //! reports the work its layers did (`ptw_types::work`): events popped, by
-//! kind; `U64Map` slots examined; `AssocArray` tags compared; DRAM selects
-//! by path and the entries and banks they examined; IOMMU candidate-index
-//! steps. Unlike host time these counts do not depend on the machine, so
+//! kind; `U64Map` slots examined; `AssocArray` fingerprint words tested
+//! and full tags compared; DRAM selects by path and the entries and banks
+//! they examined; IOMMU candidate-index steps. Unlike host time these counts do not depend on the machine, so
 //! they are compared exactly: any change fails, and the message marks
 //! each counter that rose.
 //!
