@@ -131,29 +131,6 @@ impl<W> WalkBuffer<W> {
         (p != NIL).then_some(p)
     }
 
-    /// Hints the CPU cache to start loading `handle`'s slot. Traversals
-    /// chase `prev`/`next` pointers through the slab, so the next slot's
-    /// address is known one full iteration before it is read — prefetching
-    /// it hides most of that dependent-load latency. Purely a performance
-    /// hint: no architectural effect, no-op off x86_64 or for `None`.
-    #[inline(always)]
-    pub fn prefetch(&self, handle: Option<u32>) {
-        #[cfg(target_arch = "x86_64")]
-        if let Some(h) = handle {
-            if let Some(slot) = self.slots.get(h as usize) {
-                // SAFETY: prefetch has no memory effects; any address is
-                // sound, and this one points at a live slab element.
-                unsafe {
-                    core::arch::x86_64::_mm_prefetch::<{ core::arch::x86_64::_MM_HINT_T0 }>(
-                        slot as *const Slot<W> as *const i8,
-                    );
-                }
-            }
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        let _ = handle;
-    }
-
     /// Handle of the oldest pending request of `instr`, if any.
     pub fn instr_first(&self, instr: InstrId) -> Option<u32> {
         let h = *self.instr_head.get(instr.raw() as usize).unwrap_or(&NIL);

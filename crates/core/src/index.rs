@@ -579,7 +579,6 @@ impl CandidateIndex {
         let mut cur = buf.first();
         while let Some(h) = cur {
             cur = buf.next(h);
-            buf.prefetch(cur);
             visits += 1;
             if self.meta[h as usize].blocked {
                 continue;

@@ -16,6 +16,10 @@
 //!    from the buffer window (2-a) and the chosen request performs its
 //!    PWC lookup and walk (2-b).
 //!
+//! Each PWC action reads each cached level above the page's leaf once
+//! ([`PageWalkCache`]). The TLBs and the PWC stay private: what the
+//! IOMMU did is reported through [`IommuStats`] alone.
+//!
 //! # Driving the walkers
 //!
 //! Walkers read PTEs from DRAM one level at a time. The IOMMU is passive:
@@ -453,16 +457,6 @@ impl<W> Iommu<W> {
         &self.stats
     }
 
-    /// The page walk caches (exposed for statistics).
-    pub fn pwc(&self) -> &PageWalkCache {
-        &self.pwc
-    }
-
-    /// The IOMMU L2 TLB (exposed for statistics).
-    pub fn l2_tlb(&self) -> &Tlb {
-        &self.l2_tlb
-    }
-
     /// Number of requests waiting in the buffer.
     pub fn pending(&self) -> usize {
         self.buffer.len()
@@ -559,16 +553,6 @@ impl<W> Iommu<W> {
             oldest,
             walkers,
         }
-    }
-
-    /// Hints the host CPU to pull the IOMMU TLB set lines a
-    /// [`translate_sized`](Self::translate_sized) for `page` will probe
-    /// into cache. Purely a performance hint — never observable in
-    /// simulated behavior.
-    #[inline(always)]
-    pub fn prefetch_translate(&self, page: VirtPage) {
-        self.l1_tlb.prefetch(page);
-        self.l2_tlb.prefetch(page);
     }
 
     /// A translation request (one coalesced page of one SIMD instruction)
@@ -718,12 +702,6 @@ impl<W> Iommu<W> {
                 self.start_blocked = true;
                 break;
             };
-            // Pull the structures the walk is about to probe — the PWC set
-            // lines and the page table's map slots — into host cache while
-            // the index removal bookkeeping below runs.
-            let next_page = self.buffer.get(handle).page;
-            self.pwc.prefetch(next_page);
-            table.prefetch_translate(next_page);
             self.index.pre_remove(&self.buffer, handle);
             let request = self.buffer.remove(handle);
             self.index.finish_remove(&self.buffer);
@@ -807,9 +785,6 @@ impl<W> Iommu<W> {
         let page = request.page;
         let frame = plan.frame;
         let large = plan.is_large();
-        // The TLB fills below land while the PWC fill is still in flight.
-        self.l2_tlb.prefetch(page);
-        self.l1_tlb.prefetch(page);
         self.pwc.complete_walk(&plan);
         if large {
             let base = plan.base_frame();
@@ -860,8 +835,6 @@ impl<W> Iommu<W> {
         let mut cursor = self.index.page_first(page.raw());
         while let Some(h) = cursor {
             cursor = self.index.page_next(h);
-            // Stream the next piggybacking slot in while this one drains.
-            self.buffer.prefetch(cursor);
             self.index.pre_remove(&self.buffer, h);
             let r = self.buffer.remove(h);
             self.index.finish_remove(&self.buffer);

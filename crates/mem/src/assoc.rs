@@ -390,28 +390,6 @@ impl<V: Copy> AssocArray<V> {
         unsafe { *self.words_mut(set).add(at) = stamp }
     }
 
-    /// Hints the host CPU to pull `set`'s packed line (and its value run)
-    /// into cache ahead of a probe. Purely a performance hint — a no-op
-    /// off x86_64 and for out-of-range sets, never observable in
-    /// simulated behavior.
-    #[inline(always)]
-    pub fn prefetch_set(&self, set: usize) {
-        #[cfg(target_arch = "x86_64")]
-        if set < self.sets {
-            use core::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
-            unsafe {
-                _mm_prefetch::<{ _MM_HINT_T0 }>(
-                    self.lines.as_ptr().add(set * self.stride) as *const i8
-                );
-                _mm_prefetch::<{ _MM_HINT_T0 }>(
-                    self.values.as_ptr().add(set * self.ways) as *const i8
-                );
-            }
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        let _ = set;
-    }
-
     /// The valid way of `set` holding `key`.
     ///
     /// The fingerprint words up to the one holding the highest valid way
@@ -1273,15 +1251,6 @@ mod tests {
         assert_eq!(b.stride, 3);
         let c: AssocArray<u32> = AssocArray::new(1, 32, Replacement::Random);
         assert_eq!(c.stride, 5);
-    }
-
-    #[test]
-    fn prefetch_set_is_inert() {
-        let mut a: AssocArray<u32> = AssocArray::new(2, 2, Replacement::Lru);
-        a.fill(0, 1, 10);
-        a.prefetch_set(0);
-        a.prefetch_set(999); // out of range: must not panic
-        assert_eq!(a.probe(0, 1), Some(&10));
     }
 
     #[test]

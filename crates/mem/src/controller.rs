@@ -816,7 +816,10 @@ impl MemoryController {
     /// scan wins — its phase 1 exits at the first gate-ready request,
     /// usually the queue head once the bus gate is pacing issue. The bank
     /// reduction only pays off when queues are deep enough that active
-    /// banks ≪ queued requests.
+    /// banks ≪ queued requests. Forcing either path alone was measured
+    /// slower (EXPERIMENTS.md, "The hybrid DRAM pick, measured"): the
+    /// index alone on `regular` and `sharded-2m`, the scan alone on
+    /// `irregular`.
     ///
     /// Each call counts one [`Work::SelectScan`] or [`Work::SelectIndex`];
     /// the queue entries and banks the chosen path reads count as

@@ -41,6 +41,6 @@ pub mod space;
 pub mod table;
 
 pub use frames::{FrameAllocator, FrameLayout};
-pub use pwc::{PageWalkCache, PwcConfig, PwcHit, PwcStats, WalkPlan};
+pub use pwc::{PageWalkCache, PwcConfig, PwcHit, WalkPlan};
 pub use space::{AddressSpace, Buffer};
 pub use table::{MapError, PageTable, WalkPath};

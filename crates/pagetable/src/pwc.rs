@@ -14,6 +14,10 @@
 //! decremented. Replacement avoids victimizing entries with non-zero
 //! counters (falling back to plain pseudo-LRU when every way is pinned),
 //! keeping arrival-time scores honest.
+//!
+//! Each action reads each cached level above the leaf at most once: the
+//! loop that moves the counters also finds the deepest hit, and a fill is
+//! one insert per level the walk read.
 
 use ptw_mem::assoc::{AssocArray, Replacement, SetIndex};
 use ptw_types::addr::{PageSize, PhysAddr, PhysFrame, VirtPage};
@@ -72,21 +76,6 @@ struct PwcEntry {
     child: PhysFrame,
     /// 2-bit saturating reservation counter (0..=3).
     counter: u8,
-}
-
-/// Per-level and aggregate PWC statistics.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct PwcStats {
-    /// Estimate probes (scheduler action 1-a).
-    pub probes: u64,
-    /// Walk-time lookups (scheduler action 2-b).
-    pub lookups: u64,
-    /// Walk-time lookups that hit at least the root level.
-    pub lookup_hits: u64,
-    /// Entry fills.
-    pub fills: u64,
-    /// Evictions where the pinning rule redirected the victim choice.
-    pub pin_saves: u64,
 }
 
 /// The result of consulting the PWC for a walk (or an estimate).
@@ -173,7 +162,6 @@ pub struct PageWalkCache {
     /// Index 0 ↔ level 4, 1 ↔ level 3, 2 ↔ level 2.
     levels: [AssocArray<PwcEntry>; 3],
     set_ix: SetIndex,
-    stats: PwcStats,
 }
 
 fn level_slot(level: u8) -> usize {
@@ -190,7 +178,6 @@ impl PageWalkCache {
             cfg,
             levels: [mk(), mk(), mk()],
             set_ix: SetIndex::new(sets),
-            stats: PwcStats::default(),
         }
     }
 
@@ -199,42 +186,9 @@ impl PageWalkCache {
         &self.cfg
     }
 
-    /// Statistics accumulated so far.
-    pub fn stats(&self) -> &PwcStats {
-        &self.stats
-    }
-
     #[inline]
     fn set_of(&self, key: u64) -> usize {
         self.set_ix.of(key)
-    }
-
-    /// Hints the host CPU to pull the set lines an estimate or walk for
-    /// `page` would probe — one per cached level — into cache. Purely a
-    /// performance hint — never observable in simulated behavior.
-    #[inline(always)]
-    pub fn prefetch(&self, page: VirtPage) {
-        for level in PWC_LEVELS {
-            let key = page.prefix(level);
-            self.levels[level_slot(level)].prefetch_set(self.set_of(key));
-        }
-    }
-
-    /// Finds the deepest cached level strictly above `leaf_level` for
-    /// `page` without touching recency. (Levels at or below the leaf are
-    /// the TLB's job: a large page's level-2 entry is its leaf, so only
-    /// levels 3 and 4 are consulted for it.)
-    fn deepest_hit(&self, page: VirtPage, leaf_level: u8) -> Option<u8> {
-        PWC_LEVELS
-            .iter()
-            .copied()
-            .filter(|&level| level > leaf_level)
-            .find(|&level| {
-                let key = page.prefix(level);
-                self.levels[level_slot(level)]
-                    .probe(self.set_of(key), key)
-                    .is_some()
-            })
     }
 
     fn hit_to_accesses(deepest: Option<u8>, leaf_level: u8) -> u8 {
@@ -250,7 +204,9 @@ impl PageWalkCache {
     ///
     /// Does not update recency (it is a probe, not a use); when counter
     /// pinning is enabled, increments the 2-bit counters of every entry on
-    /// the page's cached path, reserving them for the eventual walk.
+    /// the page's cached path, reserving them for the eventual walk. Each
+    /// cached level is probed at most once; without pinning the probe
+    /// stops at the deepest hit.
     pub fn estimate(&mut self, page: VirtPage) -> PwcHit {
         self.estimate_sized(page, PageSize::Base4K)
     }
@@ -258,21 +214,21 @@ impl PageWalkCache {
     /// Page-size-aware form of [`estimate`](Self::estimate): a
     /// [`PageSize::Large2M`] page walks to the level-2 leaf, so only
     /// levels 3 and 4 are probed (and reserved) and a complete miss costs
-    /// 3 accesses instead of 4.
+    /// 3 accesses instead of 4. (Levels at or below the leaf are the
+    /// TLB's job: a large page's level-2 entry is its leaf.)
     pub fn estimate_sized(&mut self, page: VirtPage, size: PageSize) -> PwcHit {
         let leaf = size.leaf_level();
-        self.stats.probes += 1;
-        let deepest = self.deepest_hit(page, leaf);
-        if self.cfg.counter_pinning {
-            for level in PWC_LEVELS {
-                if level <= leaf {
-                    continue;
+        let pinning = self.cfg.counter_pinning;
+        let mut deepest = None;
+        for level in PWC_LEVELS.into_iter().filter(|&l| l > leaf) {
+            let key = page.prefix(level);
+            let set = self.set_of(key);
+            if let Some(e) = self.levels[level_slot(level)].probe_mut(set, key) {
+                deepest = deepest.or(Some(level));
+                if !pinning {
+                    break;
                 }
-                let key = page.prefix(level);
-                let set = self.set_of(key);
-                if let Some(e) = self.levels[level_slot(level)].probe_mut(set, key) {
-                    e.counter = (e.counter + 1).min(3);
-                }
+                e.counter = (e.counter + 1).min(3);
             }
         }
         PwcHit {
@@ -284,25 +240,20 @@ impl PageWalkCache {
     /// Scheduler action **2-b**: performs the walk-time PWC lookup and
     /// returns the concrete [`WalkPlan`].
     ///
-    /// Updates recency on the hit path and decrements reservation counters.
-    /// Returns `None` if the page is not mapped in `table`.
+    /// Looks up each cached level above the leaf once: every hit updates
+    /// recency and, under counter pinning, decrements its reservation
+    /// counter. Returns `None` if the page is not mapped in `table`.
     pub fn begin_walk(&mut self, table: &PageTable, page: VirtPage) -> Option<WalkPlan> {
         let path = table.walk_path(page)?;
         let leaf = path.leaf_level;
-        self.stats.lookups += 1;
-        let deepest = self.deepest_hit(page, leaf);
-        if deepest.is_some() {
-            self.stats.lookup_hits += 1;
-        }
-        // Touch + unreserve the entries actually consulted.
-        for level in PWC_LEVELS {
-            if level <= leaf {
-                continue;
-            }
+        let pinning = self.cfg.counter_pinning;
+        let mut deepest = None;
+        for level in PWC_LEVELS.into_iter().filter(|&l| l > leaf) {
             let key = page.prefix(level);
             let set = self.set_of(key);
             if let Some(e) = self.levels[level_slot(level)].lookup_mut(set, key) {
-                if self.cfg.counter_pinning {
+                deepest = deepest.or(Some(level));
+                if pinning {
                     e.counter = e.counter.saturating_sub(1);
                 }
             }
@@ -345,19 +296,7 @@ impl PageWalkCache {
                 child: plan.path.child_frame(level),
                 counter: 0,
             };
-            self.stats.fills += 1;
             if self.cfg.counter_pinning {
-                // Count redirections for diagnostics: did pinning change
-                // the victim the plain policy would have chosen?
-                let would_evict_pinned = {
-                    let arr = &self.levels[slot];
-                    arr.probe(set, key).is_none()
-                        && arr.set_len(set) == arr.ways()
-                        && arr.iter_set(set).any(|(_, e)| e.counter > 0)
-                };
-                if would_evict_pinned {
-                    self.stats.pin_saves += 1;
-                }
                 self.levels[slot].fill_pinned(set, key, entry, |_, e| e.counter > 0);
             } else {
                 self.levels[slot].fill(set, key, entry);
@@ -565,18 +504,117 @@ mod tests {
         assert!(pwc.begin_walk(&pt, VirtPage::new(42)).is_none());
     }
 
+    /// Levels above `leaf` whose entry for `page` is cached, with counters.
+    fn cached_path(pwc: &PageWalkCache, page: VirtPage, leaf: u8) -> Vec<(u8, Option<u8>)> {
+        PWC_LEVELS
+            .into_iter()
+            .filter(|&l| l > leaf)
+            .map(|l| (l, pwc.counter(page, l)))
+            .collect()
+    }
+
+    /// Random interleavings of estimates, walk starts and walk completions
+    /// over base and large pages: the deepest hit each action reports is
+    /// the deepest cached level before the call, each hit level's counter
+    /// moves by exactly one step, and without pinning no counter moves.
     #[test]
-    fn stats_accumulate() {
-        let (mut alloc, mut pt, mut pwc) = setup();
-        let page = map(&mut alloc, &mut pt, 0x9000);
-        pwc.estimate(page);
-        let plan = pwc.begin_walk(&pt, page).unwrap();
-        pwc.complete_walk(&plan);
-        pwc.begin_walk(&pt, page).unwrap();
-        let s = pwc.stats();
-        assert_eq!(s.probes, 1);
-        assert_eq!(s.lookups, 2);
-        assert_eq!(s.lookup_hits, 1);
-        assert_eq!(s.fills, 3); // levels 4, 3, 2 filled once
+    fn random_actions_keep_deepest_and_counters_exact() {
+        use ptw_types::addr::PAGES_PER_LARGE_PAGE;
+        use ptw_types::rng::SplitMix64;
+
+        for (seed, (entries, ways), pinning) in [
+            (1u64, (4, 2), true),
+            (2, (4, 2), false),
+            (3, (4, 4), true),
+            (4, (4, 4), false),
+            (5, (8, 2), true),
+            (6, (8, 2), false),
+        ] {
+            let mut rng = SplitMix64::new(0x9C0_0000 + seed);
+            let mut alloc = FrameAllocator::new(0x1000, 1 << 22, FrameLayout::Sequential);
+            let mut pt = PageTable::new(&mut alloc);
+            let mut pwc = PageWalkCache::new(PwcConfig {
+                entries_per_level: entries,
+                ways,
+                counter_pinning: pinning,
+            });
+            // Two PML4 regions x two PDPT regions, each holding four 2 MiB
+            // regions of base pages and two large pages, so hits land at
+            // every level and the tiny caches keep evicting.
+            let mut pages = Vec::new();
+            for pml4 in 0..2u64 {
+                for pdpt in 0..2u64 {
+                    let region = (pml4 << 27) | (pdpt << 18);
+                    for pd in 0..4u64 {
+                        for pte in 0..3u64 {
+                            pages.push(map(&mut alloc, &mut pt, region | (pd << 9) | pte));
+                        }
+                    }
+                    for pd in 4..6u64 {
+                        let page = VirtPage::new(region | (pd << 9));
+                        let base = alloc.alloc_contiguous(PAGES_PER_LARGE_PAGE);
+                        pt.map_large(page, base, &mut alloc).unwrap();
+                        pages.push(page);
+                        pages.push(VirtPage::new(page.raw() + 77));
+                    }
+                }
+            }
+            let mut inflight: Vec<WalkPlan> = Vec::new();
+            for step in 0..3000 {
+                let page = pages[rng.index(pages.len())];
+                let leaf = pt.page_size_of(page).leaf_level();
+                let before = cached_path(&pwc, page, leaf);
+                let expect_deepest = before.iter().find(|(_, c)| c.is_some()).map(|&(l, _)| l);
+                let ctx = format!("seed {seed} step {step} page {page:?}");
+                match rng.index(3) {
+                    0 => {
+                        let hit = pwc.estimate_sized(page, pt.page_size_of(page));
+                        assert_eq!(hit.deepest, expect_deepest, "{ctx}: estimate deepest");
+                        assert_eq!(
+                            hit.accesses,
+                            PageWalkCache::hit_to_accesses(hit.deepest, leaf)
+                        );
+                        for (&(l, b), (_, a)) in before.iter().zip(cached_path(&pwc, page, leaf)) {
+                            let want = b.map(|c| if pinning { (c + 1).min(3) } else { c });
+                            assert_eq!(a, want, "{ctx}: estimate counter at level {l}");
+                        }
+                    }
+                    1 => {
+                        let plan = pwc.begin_walk(&pt, page).unwrap();
+                        let first = plan.levels()[0];
+                        let deepest = (first < 4).then_some(first + 1);
+                        assert_eq!(deepest, expect_deepest, "{ctx}: walk deepest");
+                        assert_eq!(*plan.levels().last().unwrap(), leaf);
+                        for (&(l, b), (_, a)) in before.iter().zip(cached_path(&pwc, page, leaf)) {
+                            let want = b.map(|c| if pinning { c.saturating_sub(1) } else { c });
+                            assert_eq!(a, want, "{ctx}: walk counter at level {l}");
+                        }
+                        inflight.push(plan);
+                    }
+                    _ if !inflight.is_empty() => {
+                        let plan = inflight.swap_remove(rng.index(inflight.len()));
+                        pwc.complete_walk(&plan);
+                        for &l in plan.levels().iter().filter(|&&l| l > plan.path.leaf_level) {
+                            assert_eq!(
+                                pwc.cached_child(plan.page, l),
+                                Some(plan.path.child_frame(l)),
+                                "{ctx}: fill at level {l}"
+                            );
+                        }
+                    }
+                    _ => {}
+                }
+                if !pinning {
+                    for &p in &pages {
+                        for l in PWC_LEVELS {
+                            assert!(
+                                matches!(pwc.counter(p, l), None | Some(0)),
+                                "{ctx}: counter moved without pinning"
+                            );
+                        }
+                    }
+                }
+            }
+        }
     }
 }

@@ -297,16 +297,6 @@ impl PageTable {
         self.mapped.get(page.raw())
     }
 
-    /// Hints the host CPU to pull the map slots a
-    /// [`translate`](Self::translate) / [`page_size_of`](Self::page_size_of)
-    /// for `page` would probe into cache. Purely a performance hint —
-    /// never observable in simulated behavior.
-    #[inline(always)]
-    pub fn prefetch_translate(&self, page: VirtPage) {
-        self.mapped.prefetch(page.raw());
-        self.large.prefetch(page.large_index());
-    }
-
     /// Returns the full hardware walk path for `page`, or `None` if the
     /// page is unmapped. A page inside a large-page region yields a
     /// three-read path terminating at the level-2 leaf.

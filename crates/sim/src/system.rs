@@ -719,27 +719,6 @@ impl System {
         }
     }
 
-    /// Host-cache hint issued one event ahead of dispatch: pulls the set
-    /// lines the *next* event's handler will probe while the current one
-    /// runs. Purely a performance hint — prefetches never change
-    /// simulated behavior, so the slow path and the per-event reference
-    /// loop in the tests skip them without diverging.
-    #[inline]
-    fn prefetch_for(&self, event: &Event) {
-        match *event {
-            Event::L2TlbLookup { wf, page } => {
-                let shard = self.cu_shards[self.cu_of(wf)];
-                self.gpu_l2_tlbs[shard].prefetch(page);
-            }
-            Event::IommuArrival { wf: _, page } => {
-                let io = self.cfg.topology.iommu_of_page(page);
-                self.iommus[io].prefetch_translate(page);
-                self.workload.space().table().prefetch_translate(page);
-            }
-            _ => {}
-        }
-    }
-
     /// Dispatches one drained calendar bucket; every event shares `now`.
     ///
     /// Two same-cycle shapes are exploited (the equivalence argument for
@@ -800,9 +779,6 @@ impl System {
                     i += 1;
                 }
                 event => {
-                    if let Some(next) = batch.get(i + 1) {
-                        self.prefetch_for(next);
-                    }
                     self.handle_event(event, now);
                     i += 1;
                 }

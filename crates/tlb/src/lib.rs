@@ -208,17 +208,6 @@ impl Tlb {
         self.array.probe(self.set_of(page), page.raw()).copied()
     }
 
-    /// Hints the host CPU to pull the set lines `page` would probe (both
-    /// page-size sides) into cache ahead of a lookup or fill. Purely a
-    /// performance hint — never observable in simulated behavior.
-    #[inline(always)]
-    pub fn prefetch(&self, page: VirtPage) {
-        self.array.prefetch_set(self.set_of(page));
-        if let Some(ls) = self.large.as_ref() {
-            ls.array.prefetch_set(ls.set_ix.of(page.large_index()));
-        }
-    }
-
     /// Installs a translation, returning the evicted page if the set was
     /// full. Filling an already-present page refreshes it in place.
     pub fn fill(&mut self, page: VirtPage, frame: PhysFrame) -> Option<VirtPage> {

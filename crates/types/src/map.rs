@@ -121,25 +121,6 @@ impl<V: Copy + Default> U64Map<V> {
         self.find(key).map(|i| &mut self.slots[i].1)
     }
 
-    /// Hints the host CPU to pull `key`'s home slot (the start of its probe
-    /// run) into cache ahead of a lookup. Purely a performance hint, never
-    /// observable in simulated behavior.
-    #[inline(always)]
-    pub fn prefetch(&self, key: u64) {
-        #[cfg(target_arch = "x86_64")]
-        if self.len != 0 {
-            // SAFETY: `home` masks into `0..slots.len()`, and a non-empty
-            // map has slots; a prefetch never faults anyway.
-            unsafe {
-                core::arch::x86_64::_mm_prefetch::<{ core::arch::x86_64::_MM_HINT_T0 }>(
-                    self.slots.as_ptr().add(home(key, self.mask)) as *const i8,
-                );
-            }
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        let _ = key;
-    }
-
     /// Maps `key` to `value`, returning the value it replaced (or `None` if
     /// `key` was absent).
     ///

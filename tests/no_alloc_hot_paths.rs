@@ -10,9 +10,6 @@
 //! * the coalescer's buffer-reusing `coalesce_split` form,
 //! * a full IOMMU walk stepped through `memory_done_into` with a
 //!   caller-owned completions buffer,
-//! * every host-cache `prefetch` hint on the translate path (TLB sets,
-//!   PWC sets, page-table map slots, IOMMU TLBs) — hints must stay pure
-//!   address arithmetic, never heap work,
 //! * SIMT-aware selection with starvation aging: bypassing picks, a
 //!   starvation-forced pick, walk starts that block a multi-entry page
 //!   chain, and the completion fan-out that drains it,
@@ -155,8 +152,6 @@ fn hot_paths_do_not_allocate() {
         tlb.fill(VirtPage::new(vpn), PhysFrame::new(vpn + 0x1000));
     }
     assert_no_alloc("tlb lookup/fill", || {
-        // The prefetch hint runs ahead of every lookup on the hot path.
-        tlb.prefetch(VirtPage::new(3));
         assert!(tlb.lookup(VirtPage::new(3)).is_some());
         assert!(tlb.lookup(VirtPage::new(entries + 7)).is_none());
         // The TLB is full, so this fill must evict — still without heap work.
@@ -188,10 +183,6 @@ fn hot_paths_do_not_allocate() {
     assert_no_alloc("pwc estimate/begin_walk/complete_walk", || {
         for vpn in 0..64u64 {
             let page = VirtPage::new(vpn << 9);
-            // The walk-start path prefetches the PWC set lines and the
-            // page table's map slots before probing either.
-            pwc.prefetch(page);
-            table.prefetch_translate(page);
             let _ = pwc.estimate(page);
             let plan = pwc.begin_walk(&table, page).expect("mapped page");
             assert!(plan.accesses() >= 1);
@@ -305,9 +296,6 @@ fn hot_paths_do_not_allocate() {
         "completion fan-out (translate, select, piggyback drain)",
         || {
             for w in 0..3u32 {
-                // The dispatch loop issues this hint one event ahead of
-                // each IOMMU arrival.
-                iommu.prefetch_translate(hot_page);
                 let out = iommu.translate(hot_page, InstrId::new(w % 2), 30 + w, Cycle::new(600));
                 assert!(matches!(out, TranslationOutcome::WalkPending));
             }
