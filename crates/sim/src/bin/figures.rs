@@ -16,11 +16,16 @@
 //! `paper` row citing the value the paper reports so measured-vs-paper can
 //! be compared at a glance.
 //!
-//! The simulation runs behind the requested figures are prefetched on a
-//! thread pool (default: one worker per hardware thread; `--jobs N` to
-//! pin, `--serial` for the single-threaded order). Runs are deterministic
-//! and merged in spec order, so every table is byte-identical whatever the
-//! worker count.
+//! The figures name their own runs: the requested figures are first
+//! rendered against the run cache and thrown away, which records every run
+//! they read, and those runs then fan out in one sweep on the chosen
+//! executor (default: a thread pool with one worker per hardware thread;
+//! `--jobs N` to pin, `--serial` for the single-threaded order). This
+//! repeats until a render records nothing, and only then are the tables
+//! printed. Runs are deterministic and merged in spec order, so every table
+//! is byte-identical whatever the worker count. Each finished run prints a
+//! progress line to stderr (key, attempts, host seconds, events or error)
+//! unless `--quiet` is given.
 //!
 //! # Fault tolerance
 //!
@@ -45,7 +50,7 @@ use std::time::{Duration, Instant};
 
 use ptw_core::sched::SchedulerKind;
 use ptw_sim::config::{FaultInjection, FaultKind};
-use ptw_sim::figures;
+use ptw_sim::figures::{self, Render};
 use ptw_sim::runner::{ConfigVariant, Lab};
 use ptw_sim::sweep::{CellExecutor, SweepExecutor};
 use ptw_sim::Supervisor;
@@ -72,6 +77,15 @@ fn parse_fault(s: &str) -> Option<(BenchmarkId, SchedulerKind, FaultInjection)> 
     Some((bench, sched, FaultInjection { kind, at_event }))
 }
 
+/// What `figures all` renders: every figure but the `topology` study,
+/// which runs only when asked for by name (the `all` output is
+/// equivalence-pinned).
+fn all_figures() -> impl Iterator<Item = (&'static str, Render)> {
+    figures::FIGURES
+        .into_iter()
+        .filter(|(name, _)| *name != "topology")
+}
+
 fn main() -> ExitCode {
     // `figures worker` is the internal entry the process-isolation
     // supervisor spawns: one spec in on stdin, one result line on stdout.
@@ -79,7 +93,7 @@ fn main() -> ExitCode {
         return ExitCode::from(ptw_sim::supervisor::worker_main());
     }
 
-    let mut names: Vec<String> = Vec::new();
+    let mut wanted: Vec<(&str, Render)> = Vec::new();
     let mut scale = Scale::Medium;
     let mut seed = 0xC0FFEE_u64;
     let mut verbose = true;
@@ -166,24 +180,23 @@ fn main() -> ExitCode {
                      [--quiet] [--csv DIR] [--jobs N | --serial] [--resume FILE] \
                      [--isolation thread|process] [--cell-timeout SECS] \
                      [--inject-fault BENCH:SCHED:KIND@EVENT] [--fail-fast | --keep-going]\n\
-                     names: {} all topology",
-                    figures::NAMES.join(" ")
+                     names: {} all",
+                    figures::FIGURES.map(|(name, _)| name).join(" ")
                 );
                 return ExitCode::SUCCESS;
             }
-            "all" => names.extend(figures::NAMES.iter().map(|s| (*s).to_owned())),
-            // Explicit-only studies: never part of `all` (whose output is
-            // equivalence-pinned), must be asked for by name.
-            "topology" => names.push(a),
-            name if figures::NAMES.contains(&name) => names.push(name.to_owned()),
-            other => {
-                eprintln!("unknown figure {other:?}; try --help");
-                return ExitCode::FAILURE;
-            }
+            "all" => wanted.extend(all_figures()),
+            name => match figures::FIGURES.iter().find(|(n, _)| *n == name) {
+                Some(&figure) => wanted.push(figure),
+                None => {
+                    eprintln!("unknown figure {name:?}; try --help");
+                    return ExitCode::FAILURE;
+                }
+            },
         }
     }
-    if names.is_empty() {
-        names.extend(figures::NAMES.iter().map(|s| (*s).to_owned()));
+    if wanted.is_empty() {
+        wanted.extend(all_figures());
     }
     if cell_timeout.is_some() && !process_isolation {
         eprintln!("--cell-timeout requires --isolation process");
@@ -230,14 +243,23 @@ fn main() -> ExitCode {
             );
         }
     }
-    // Fan the requested figures' runs out across the executor up front;
-    // rendering below then hits only the lab cache (or its failure ledger).
-    let wanted: Vec<_> = names
-        .iter()
-        .flat_map(|n| figures::prefetch_keys(n))
-        .collect();
-    lab.prefetch(&*exec, wanted);
-    let mut extra_failures: Vec<String> = Vec::new();
+    // Render the lab figures, throwing the tables away, to record the runs
+    // they read; fan those out in one sweep and repeat until a render
+    // records nothing. Printing below then hits only the lab cache (or its
+    // failure ledger).
+    loop {
+        for (_, render) in &wanted {
+            if let Render::Lab(f) = render {
+                f(&mut lab);
+            }
+        }
+        let missing = lab.take_missing();
+        if missing.is_empty() {
+            break;
+        }
+        lab.prefetch(&*exec, missing);
+    }
+    // Printing runs no lab cell, so the lab's failures are final here.
     if fail_fast && lab.has_failures() {
         eprintln!(
             "[figures] aborting (--fail-fast):\n{}",
@@ -245,45 +267,18 @@ fn main() -> ExitCode {
         );
         return ExitCode::FAILURE;
     }
-    for name in &names {
-        let table = match name.as_str() {
-            "table1" => figures::table1(),
-            "table2" => figures::table2(&lab),
-            "fig2" => figures::fig2(&mut lab),
-            "fig3" => figures::fig3(&mut lab),
-            "fig4" => figures::fig4(),
-            "fig5" => figures::fig5(&mut lab),
-            "fig6" => figures::fig6(&mut lab),
-            "fig8" => figures::fig8(&mut lab),
-            "fig9" => figures::fig9(&mut lab),
-            "fig10" => figures::fig10(&mut lab),
-            "fig11" => figures::fig11(&mut lab),
-            "fig12" => figures::fig12(&mut lab),
-            "fig13" => figures::fig13(&mut lab),
-            "fig14" => figures::fig14(&mut lab),
-            "ablation" => figures::ablation(&mut lab),
-            "stats" => figures::stats(&mut lab),
-            "followon" => figures::followon(&mut lab),
-            "seeds" => {
-                let (t, failures) = figures::seeds(&lab, &*exec);
+    let mut extra_failures: Vec<String> = Vec::new();
+    for (name, render) in wanted {
+        let table = match render {
+            Render::Static(f) => f(&lab),
+            Render::Lab(f) => f(&mut lab),
+            Render::Sweep(f) => {
+                let (t, failures) = f(&lab, &*exec);
                 extra_failures.extend(failures);
                 t
             }
-            "topology" => {
-                let (t, failures) = figures::topology(&lab, &*exec);
-                extra_failures.extend(failures);
-                t
-            }
-            _ => unreachable!("validated above"),
         };
         println!("{table}");
-        if fail_fast && lab.has_failures() {
-            eprintln!(
-                "[figures] aborting (--fail-fast):\n{}",
-                lab.failure_summary()
-            );
-            return ExitCode::FAILURE;
-        }
         if let Some(dir) = &csv_dir {
             if let Err(e) = std::fs::create_dir_all(dir)
                 .and_then(|()| std::fs::write(dir.join(format!("{name}.csv")), table.to_csv()))

@@ -1,9 +1,11 @@
 //! Regeneration of every table and figure in the paper's evaluation.
 //!
-//! Each `figN` function runs the experiments that figure needs (through the
-//! memoizing [`Lab`]) and renders a [`Table`] whose rows mirror the
-//! figure's bars/series, alongside the paper's reported values where the
-//! text states them. Absolute numbers are not expected to match (our
+//! Each `figN` function reads the runs that figure needs from the memoizing
+//! [`Lab`] and renders a [`Table`] whose rows mirror the figure's
+//! bars/series, alongside the paper's reported values where the text states
+//! them. The figure bodies are the only list of the cells they read: a
+//! render on a lab that lacks them records the keys, which the caller runs
+//! with [`Lab::prefetch`] before it renders again. Absolute numbers are not expected to match (our
 //! substrate is a from-scratch simulator, not the authors' gem5 setup); the
 //! *shape* — who wins, by roughly what factor, how trends move with
 //! configuration — is the reproduction target. EXPERIMENTS.md records
@@ -45,87 +47,42 @@ fn gmean_cell(vals: &[f64]) -> String {
     }
 }
 
-/// Every figure/table name, in presentation order (the `figures` binary's
-/// name list and the full-sweep prefetch set).
-pub const NAMES: [&str; 18] = [
-    "table1", "table2", "fig2", "fig3", "fig4", "fig5", "fig6", "fig8", "fig9", "fig10", "fig11",
-    "fig12", "fig13", "fig14", "ablation", "followon", "seeds", "stats",
-];
-
-/// The `(benchmark, scheduler, variant)` runs the named figure reads from
-/// the [`Lab`], for [`Lab::prefetch`]. Figures that do not consume lab
-/// runs (`table1`, `table2`, `fig4`, `seeds`) return an empty list.
-pub fn prefetch_keys(name: &str) -> Vec<(BenchmarkId, SchedulerKind, ConfigVariant)> {
-    use ConfigVariant as V;
-    use SchedulerKind as K;
-    let base = V::Baseline;
-    let mut keys = Vec::new();
-    let both = |keys: &mut Vec<_>, id, variant| {
-        keys.push((id, K::Fcfs, variant));
-        keys.push((id, K::SimtAware, variant));
-    };
-    match name {
-        "fig2" => {
-            for id in BenchmarkId::MOTIVATION {
-                for kind in [K::Random, K::Fcfs, K::SimtAware] {
-                    keys.push((id, kind, base));
-                }
-            }
-        }
-        "fig3" | "fig5" | "fig6" => {
-            for id in BenchmarkId::MOTIVATION {
-                keys.push((id, K::Fcfs, base));
-            }
-        }
-        "fig8" | "fig9" => {
-            for id in BenchmarkId::ALL {
-                both(&mut keys, id, base);
-            }
-        }
-        "fig10" | "fig11" | "fig12" => {
-            for id in BenchmarkId::IRREGULAR {
-                both(&mut keys, id, base);
-            }
-        }
-        "fig13" => {
-            for id in BenchmarkId::IRREGULAR {
-                for v in [V::BigTlb, V::MoreWalkers, V::BigTlbMoreWalkers] {
-                    both(&mut keys, id, v);
-                }
-            }
-        }
-        "fig14" => {
-            for id in BenchmarkId::IRREGULAR {
-                for v in [V::SmallBuffer, V::Baseline, V::BigBuffer] {
-                    both(&mut keys, id, v);
-                }
-            }
-        }
-        "ablation" => {
-            for id in BenchmarkId::IRREGULAR {
-                for kind in [K::Fcfs, K::SjfOnly, K::BatchOnly, K::SimtAware] {
-                    keys.push((id, kind, base));
-                }
-                keys.push((id, K::SimtAware, V::NoPinning));
-            }
-        }
-        "followon" => {
-            for id in [BenchmarkId::Mvt, BenchmarkId::Xsb] {
-                keys.push((id, K::Fcfs, base));
-                for kind in K::EXTENDED {
-                    keys.push((id, kind, base));
-                }
-            }
-        }
-        "stats" => {
-            for id in BenchmarkId::ALL {
-                keys.push((id, K::Fcfs, base));
-            }
-        }
-        _ => {}
-    }
-    keys
+/// How a figure gets its numbers.
+#[derive(Clone, Copy, Debug)]
+pub enum Render {
+    /// Reads no lab cell (the scale at most).
+    Static(fn(&Lab) -> Table),
+    /// Reads [`Lab`] cells: a cell that has not run renders as
+    /// [`FAILED_CELL`] and is recorded for [`Lab::take_missing`].
+    Lab(fn(&mut Lab) -> Table),
+    /// Runs its own sweep on the executor, for cells the lab cache does not
+    /// key on; returns the table and one line per failed cell.
+    Sweep(fn(&Lab, &dyn CellExecutor) -> (Table, Vec<String>)),
 }
+
+/// Every figure and table by name, in presentation order. `figures all`
+/// renders all but `topology`, which runs only when asked for by name.
+pub const FIGURES: [(&str, Render); 19] = [
+    ("table1", Render::Static(|_| table1())),
+    ("table2", Render::Static(table2)),
+    ("fig2", Render::Lab(fig2)),
+    ("fig3", Render::Lab(fig3)),
+    ("fig4", Render::Static(|_| fig4())),
+    ("fig5", Render::Lab(fig5)),
+    ("fig6", Render::Lab(fig6)),
+    ("fig8", Render::Lab(fig8)),
+    ("fig9", Render::Lab(fig9)),
+    ("fig10", Render::Lab(fig10)),
+    ("fig11", Render::Lab(fig11)),
+    ("fig12", Render::Lab(fig12)),
+    ("fig13", Render::Lab(fig13)),
+    ("fig14", Render::Lab(fig14)),
+    ("ablation", Render::Lab(ablation)),
+    ("followon", Render::Lab(followon)),
+    ("seeds", Render::Sweep(seeds)),
+    ("stats", Render::Lab(stats)),
+    ("topology", Render::Sweep(topology)),
+];
 
 /// Table I: the baseline system configuration (echoed from the config
 /// structs so drift between code and documentation is impossible).
@@ -544,78 +501,58 @@ pub fn fig12(lab: &mut Lab) -> Table {
 
 /// Figure 13: sensitivity to GPU L2 TLB size and walker count.
 pub fn fig13(lab: &mut Lab) -> Table {
-    let mut t = Table::new(
+    variant_speedups(
+        lab,
         "Figure 13: SIMT-aware speedup over FCFS under bigger TLB / more walkers",
-        &[
-            "bench",
+        [
             "1024 TLB/8 walkers",
             "512 TLB/16 walkers",
             "1024 TLB/16 walkers",
         ],
-    );
-    let variants = [
-        ConfigVariant::BigTlb,
-        ConfigVariant::MoreWalkers,
-        ConfigVariant::BigTlbMoreWalkers,
-    ];
-    let mut means: [Vec<f64>; 3] = Default::default();
-    for id in BenchmarkId::IRREGULAR {
-        let mut row = vec![id.abbrev().to_owned()];
-        for (i, v) in variants.iter().enumerate() {
-            let base = lab
-                .try_result_with(id, SchedulerKind::Fcfs, *v)
-                .map(|r| r.metrics.cycles as f64);
-            let simt = lab
-                .try_result_with(id, SchedulerKind::SimtAware, *v)
-                .map(|r| r.metrics.cycles as f64);
-            let s = base.zip(simt).map(|(b, s)| b / s);
-            if let Some(s) = s {
-                means[i].push(s);
-            }
-            row.push(ratio_or_failed(s));
-        }
-        t.row(row);
-    }
-    t.row(vec![
-        "gmean".into(),
-        gmean_cell(&means[0]),
-        gmean_cell(&means[1]),
-        gmean_cell(&means[2]),
-    ]);
-    t.row(vec![
-        "paper".into(),
-        "1.25x".into(),
-        "1.084x".into(),
-        "1.053x".into(),
-    ]);
-    t
+        [
+            ConfigVariant::BigTlb,
+            ConfigVariant::MoreWalkers,
+            ConfigVariant::BigTlbMoreWalkers,
+        ],
+        ["1.25x", "1.084x", "1.053x"],
+    )
 }
 
 /// Figure 14: sensitivity to the IOMMU buffer (scheduler lookahead) size.
 pub fn fig14(lab: &mut Lab) -> Table {
-    let mut t = Table::new(
+    variant_speedups(
+        lab,
         "Figure 14: SIMT-aware speedup over FCFS vs IOMMU buffer size",
-        &[
-            "bench",
-            "128 entries",
-            "256 entries (baseline)",
-            "512 entries",
+        ["128 entries", "256 entries (baseline)", "512 entries"],
+        [
+            ConfigVariant::SmallBuffer,
+            ConfigVariant::Baseline,
+            ConfigVariant::BigBuffer,
         ],
-    );
-    let variants = [
-        ConfigVariant::SmallBuffer,
-        ConfigVariant::Baseline,
-        ConfigVariant::BigBuffer,
-    ];
+        ["1.13x", "1.30x", "1.50x"],
+    )
+}
+
+/// SIMT-aware speedup over FCFS on the irregular benchmarks under three
+/// system variants, one column each, plus their geometric means and the
+/// paper's values.
+fn variant_speedups(
+    lab: &mut Lab,
+    title: &str,
+    columns: [&str; 3],
+    variants: [ConfigVariant; 3],
+    paper: [&str; 3],
+) -> Table {
+    let mut t = Table::new(title, &["bench", columns[0], columns[1], columns[2]]);
     let mut means: [Vec<f64>; 3] = Default::default();
     for id in BenchmarkId::IRREGULAR {
         let mut row = vec![id.abbrev().to_owned()];
-        for (i, v) in variants.iter().enumerate() {
+        for (i, v) in variants.into_iter().enumerate() {
             let base = lab
-                .try_result_with(id, SchedulerKind::Fcfs, *v)
+                .try_result_with(id, SchedulerKind::Fcfs, v)
                 .map(|r| r.metrics.cycles as f64);
             let simt = lab
-                .try_result_with(id, SchedulerKind::SimtAware, *v)
+                .try_result_with(id, SchedulerKind::SimtAware, v)
                 .map(|r| r.metrics.cycles as f64);
             let s = base.zip(simt).map(|(b, s)| b / s);
             if let Some(s) = s {
@@ -631,12 +568,9 @@ pub fn fig14(lab: &mut Lab) -> Table {
         gmean_cell(&means[1]),
         gmean_cell(&means[2]),
     ]);
-    t.row(vec![
-        "paper".into(),
-        "1.13x".into(),
-        "1.30x".into(),
-        "1.50x".into(),
-    ]);
+    let mut paper_row = vec!["paper".to_owned()];
+    paper_row.extend(paper.map(str::to_owned));
+    t.row(paper_row);
     t
 }
 
@@ -769,9 +703,9 @@ pub fn seeds(lab: &Lab, exec: &dyn CellExecutor) -> (Table, Vec<String>) {
 /// promoted to large pages. Reports the new per-IOMMU occupancy and
 /// per-page-size latency columns the multi-IOMMU refactor added.
 ///
-/// Not a paper figure, and deliberately *not* listed in [`NAMES`]: the
-/// `figures all` output is equivalence-pinned, so this study only runs when
-/// asked for by name (`figures topology`). Like [`seeds`], its runs vary
+/// Not a paper figure, and deliberately *not* part of `figures all`: that
+/// output is equivalence-pinned, so this study only runs when asked for by
+/// name (`figures topology`). Like [`seeds`], its runs vary
 /// config knobs the [`Lab`] cache does not key on, so they bypass the cache
 /// (and its failure ledger) and go straight through `exec`; the second
 /// element of the return value lists any cells that failed.
@@ -958,6 +892,26 @@ mod tests {
         let lab = Lab::new(Scale::Small, 1);
         let t2 = table2(&lab);
         assert_eq!(t2.rows.len(), 12);
+    }
+
+    #[test]
+    fn every_lab_figure_records_its_cells_without_running_them() {
+        let mut lab = Lab::new(Scale::Small, 1);
+        for (name, render) in FIGURES {
+            match render {
+                Render::Lab(f) => {
+                    let t = f(&mut lab);
+                    assert!(t.to_string().contains(FAILED_CELL), "{name}");
+                    assert!(!lab.take_missing().is_empty(), "{name} records no cell");
+                }
+                Render::Static(f) => {
+                    f(&lab);
+                    assert!(lab.take_missing().is_empty(), "{name} reads a cell");
+                }
+                Render::Sweep(_) => {}
+            }
+        }
+        assert_eq!(lab.executed, 0, "a render never runs a cell");
     }
 
     #[test]

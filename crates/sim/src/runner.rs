@@ -5,14 +5,18 @@
 //! Figures 8–12). [`Lab`] memoizes results so the `figures` binary performs
 //! each run once.
 //!
+//! Reading a cell never runs it. A read of a cell the lab has not run yet
+//! returns `None` and records the key; [`Lab::take_missing`] hands the
+//! recorded keys to [`Lab::prefetch`], the one place a lab cell runs, on
+//! whatever [`CellExecutor`] the caller chose.
+//!
 //! # Fault tolerance
 //!
-//! Every run the lab performs goes through the panic-isolated
-//! [`SweepExecutor`] path, so a crashing or diverging simulation becomes a
-//! recorded [`CellFailure`] instead of killing the whole figures sweep.
-//! Failures are *sticky*: once a cell fails, later lookups return `None`
-//! (or panic, for the strict accessors) without re-running it. Attaching a
-//! [`SweepCheckpoint`] persists every completed result so an interrupted
+//! Every run goes through a fault-isolated [`CellExecutor`], so a crashing
+//! or diverging simulation becomes a recorded [`CellFailure`] instead of
+//! killing the whole figures sweep. Failures are *sticky*: once a cell
+//! fails, later reads return `None` without recording it again. Attaching
+//! a [`SweepCheckpoint`] persists every completed result so an interrupted
 //! sweep resumes where it stopped.
 
 use std::collections::HashMap;
@@ -25,7 +29,7 @@ use ptw_workloads::{build_with_large_pages, BenchmarkId, Scale};
 use crate::checkpoint::{CellKey, SweepCheckpoint};
 use crate::config::{FaultInjection, SystemConfig};
 use crate::error::RunError;
-use crate::sweep::{CellExecutor, SweepExecutor};
+use crate::sweep::CellExecutor;
 use crate::system::{RunResult, System};
 
 /// A fully specified simulation run.
@@ -73,7 +77,7 @@ impl RunSpec {
 /// Configuration problems surface as [`RunError::Config`] before any event
 /// executes; runtime divergence (budget exhaustion, livelock, deadlock) as
 /// [`RunError::Sim`]. Panics are *not* caught here — callers who need
-/// isolation go through [`SweepExecutor`].
+/// isolation go through a [`CellExecutor`].
 pub fn run_benchmark(spec: &RunSpec) -> Result<RunResult, RunError> {
     let cfg = spec.config.clone().with_scheduler(spec.scheduler);
     // The topology's large-page knob reaches the workload builder here:
@@ -218,6 +222,9 @@ pub struct Lab {
     checkpoint: Option<SweepCheckpoint>,
     /// Deterministic fault injected into exactly one cell's runs.
     fault: Option<(CellKey, FaultInjection)>,
+    /// Keys read before they ran, in first-read order, for
+    /// [`take_missing`](Self::take_missing).
+    missing: Vec<CellKey>,
     /// Runs actually executed (for progress reporting).
     pub executed: u64,
     /// Whether to print progress lines to stderr.
@@ -234,6 +241,7 @@ impl Lab {
             failures: HashMap::new(),
             checkpoint: None,
             fault: None,
+            missing: Vec::new(),
             executed: 0,
             verbose: false,
         }
@@ -310,88 +318,9 @@ impl Lab {
         spec
     }
 
-    fn persist(&mut self, key: CellKey, result: &RunResult) {
-        if let Some(cp) = &mut self.checkpoint {
-            if let Err(e) = cp.append(key, result) {
-                // Losing the checkpoint must not fail the sweep itself.
-                eprintln!(
-                    "[lab] warning: checkpoint append to {} failed: {e}",
-                    cp.path().display()
-                );
-            }
-        }
-    }
-
-    /// Runs `key` if it is neither cached nor already failed.
-    fn ensure(&mut self, key: CellKey) {
-        if self.cache.contains_key(&key) || self.failures.contains_key(&key) {
-            return;
-        }
-        let (benchmark, scheduler, variant) = key;
-        if self.verbose {
-            eprintln!(
-                "[lab] running {benchmark} / {scheduler} / {}",
-                variant.label()
-            );
-        }
-        let spec = self.spec_for(key);
-        let report = SweepExecutor::serial().try_run(std::slice::from_ref(&spec));
-        let cell = report.cells.into_iter().next().expect("one spec, one cell");
-        self.executed += 1;
-        match cell.result {
-            Ok(result) => {
-                self.persist(key, &result);
-                self.cache.insert(key, result);
-            }
-            Err(error) => {
-                self.failures.insert(
-                    key,
-                    CellFailure {
-                        label: cell.label,
-                        attempts: cell.attempts,
-                        error,
-                    },
-                );
-            }
-        }
-    }
-
-    /// Result of `(benchmark, scheduler)` on the baseline system.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the run failed; use [`try_result`](Self::try_result) to
-    /// degrade instead.
-    pub fn result(&mut self, benchmark: BenchmarkId, scheduler: SchedulerKind) -> &RunResult {
-        self.result_with(benchmark, scheduler, ConfigVariant::Baseline)
-    }
-
-    /// Result of `(benchmark, scheduler)` on a system variant.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the run failed; use
-    /// [`try_result_with`](Self::try_result_with) to degrade instead.
-    pub fn result_with(
-        &mut self,
-        benchmark: BenchmarkId,
-        scheduler: SchedulerKind,
-        variant: ConfigVariant,
-    ) -> &RunResult {
-        let key = (benchmark, scheduler, variant);
-        self.ensure(key);
-        if let Some(f) = self.failures.get(&key) {
-            panic!(
-                "lab cell {} failed after {} attempt(s): {}",
-                f.label, f.attempts, f.error
-            );
-        }
-        &self.cache[&key]
-    }
-
     /// Result of `(benchmark, scheduler)` on the baseline system, or
-    /// `None` if the run failed (the failure is recorded in
-    /// [`failures`](Self::failures)).
+    /// `None` if the run failed (see [`failures`](Self::failures)) or has
+    /// not run yet (see [`take_missing`](Self::take_missing)).
     pub fn try_result(
         &mut self,
         benchmark: BenchmarkId,
@@ -400,7 +329,9 @@ impl Lab {
         self.try_result_with(benchmark, scheduler, ConfigVariant::Baseline)
     }
 
-    /// Result on a system variant, or `None` if the run failed.
+    /// Result on a system variant, or `None` if the run failed or has not
+    /// run yet. A key that is neither cached nor failed is recorded for
+    /// [`take_missing`](Self::take_missing).
     pub fn try_result_with(
         &mut self,
         benchmark: BenchmarkId,
@@ -408,14 +339,25 @@ impl Lab {
         variant: ConfigVariant,
     ) -> Option<&RunResult> {
         let key = (benchmark, scheduler, variant);
-        self.ensure(key);
+        if !self.cache.contains_key(&key)
+            && !self.failures.contains_key(&key)
+            && !self.missing.contains(&key)
+        {
+            self.missing.push(key);
+        }
         self.cache.get(&key)
     }
 
+    /// The keys read since the last call that had neither run nor failed,
+    /// each once, in first-read order: the input for
+    /// [`prefetch`](Self::prefetch).
+    pub fn take_missing(&mut self) -> Vec<CellKey> {
+        std::mem::take(&mut self.missing)
+    }
+
     /// Runs every not-yet-cached `(benchmark, scheduler, variant)` key on
-    /// `exec` and stores the outcomes, so later `result`/`result_with`
-    /// calls are cache (or failure) hits. Returns the number of runs
-    /// executed.
+    /// `exec` and stores the outcomes, so later reads of those keys are
+    /// cache (or failure) hits. Returns the number of runs executed.
     ///
     /// Duplicate keys are executed once; insertion order is the first
     /// occurrence in `keys`, so the cache contents (and `executed`) are
@@ -426,7 +368,9 @@ impl Lab {
     /// With a checkpoint attached, each completed result is appended **as
     /// it arrives** (completion order), not after the whole sweep returns:
     /// killing the supervisor mid-sweep loses at most the in-flight cells,
-    /// and `--resume` picks up every finished one.
+    /// and `--resume` picks up every finished one. With
+    /// [`verbose`](Self::verbose) set, each finished cell also prints one
+    /// progress line to stderr.
     pub fn prefetch(
         &mut self,
         exec: &dyn CellExecutor,
@@ -456,7 +400,21 @@ impl Lab {
         // the sweep (the sink borrows it mutably while `self` stays
         // readable), then moves back.
         let mut checkpoint = self.checkpoint.take();
+        let verbose = self.verbose;
         let report = exec.run_cells(&specs, &mut |outcome| {
+            if verbose {
+                let (benchmark, scheduler, variant) = missing[outcome.index];
+                let secs = outcome.elapsed.as_secs_f64();
+                let done = match &outcome.result {
+                    Ok(result) => format!("{} events", result.events),
+                    Err(e) => format!("FAILED: {e}"),
+                };
+                eprintln!(
+                    "[lab] {benchmark} / {scheduler} / {}: {} attempt(s), {secs:.2}s, {done}",
+                    variant.label(),
+                    outcome.attempts
+                );
+            }
             if let (Some(cp), Ok(result)) = (checkpoint.as_mut(), outcome.result.as_ref()) {
                 if let Err(e) = cp.append(missing[outcome.index], result) {
                     // Losing the checkpoint must not fail the sweep itself.
@@ -491,72 +449,86 @@ impl Lab {
         executed
     }
 
-    /// Prefetches every run the full figures sweep ([`crate::figures`])
-    /// consumes, in parallel on `exec`. Returns the number of runs
-    /// executed.
-    pub fn prefetch_figures(&mut self, exec: &dyn CellExecutor) -> usize {
-        let keys: Vec<_> = crate::figures::NAMES
-            .iter()
-            .flat_map(|name| crate::figures::prefetch_keys(name))
-            .collect();
-        self.prefetch(exec, keys)
-    }
-
     /// Speedup of `scheduler` over `baseline` for `benchmark` (ratio of
-    /// cycle counts) on the baseline system.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either run failed; use
-    /// [`try_speedup`](Self::try_speedup) to degrade instead.
-    pub fn speedup(
-        &mut self,
-        benchmark: BenchmarkId,
-        scheduler: SchedulerKind,
-        baseline: SchedulerKind,
-    ) -> f64 {
-        let base = self.result(benchmark, baseline).metrics.cycles as f64;
-        let x = self.result(benchmark, scheduler).metrics.cycles as f64;
-        base / x
-    }
-
-    /// Speedup, or `None` if either run failed.
+    /// cycle counts) on the baseline system, or `None` if either run
+    /// failed or has not run yet. Both keys are read (and recorded when
+    /// missing) before they are combined.
     pub fn try_speedup(
         &mut self,
         benchmark: BenchmarkId,
         scheduler: SchedulerKind,
         baseline: SchedulerKind,
     ) -> Option<f64> {
-        let base = self.try_result(benchmark, baseline)?.metrics.cycles;
-        let x = self.try_result(benchmark, scheduler)?.metrics.cycles;
-        Some(base as f64 / x as f64)
+        let base = self
+            .try_result(benchmark, baseline)
+            .map(|r| r.metrics.cycles);
+        let x = self
+            .try_result(benchmark, scheduler)
+            .map(|r| r.metrics.cycles);
+        Some(base? as f64 / x? as f64)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sweep::SweepExecutor;
+
+    /// Runs every key the lab's reads recorded, serially.
+    fn run_missing(lab: &mut Lab) -> usize {
+        let keys = lab.take_missing();
+        lab.prefetch(&SweepExecutor::serial(), keys)
+    }
+
     #[test]
     fn lab_caches_runs() {
         let mut lab = Lab::new(Scale::Small, 1);
-        let a = lab
-            .result(BenchmarkId::Kmn, SchedulerKind::Fcfs)
-            .metrics
-            .cycles;
+        assert!(lab
+            .try_result(BenchmarkId::Kmn, SchedulerKind::Fcfs)
+            .is_none());
+        assert_eq!(lab.executed, 0, "a read never runs a cell");
+        assert_eq!(run_missing(&mut lab), 1);
         assert_eq!(lab.executed, 1);
-        let b = lab
-            .result(BenchmarkId::Kmn, SchedulerKind::Fcfs)
+        let a = lab
+            .try_result(BenchmarkId::Kmn, SchedulerKind::Fcfs)
+            .expect("prefetched")
             .metrics
             .cycles;
-        assert_eq!(lab.executed, 1); // cached
+        let b = lab
+            .try_result(BenchmarkId::Kmn, SchedulerKind::Fcfs)
+            .expect("cached")
+            .metrics
+            .cycles;
         assert_eq!(a, b);
+        assert!(lab.take_missing().is_empty(), "cached reads record nothing");
+        assert_eq!(run_missing(&mut lab), 0);
+        assert_eq!(lab.executed, 1); // cached
     }
 
     #[test]
     fn speedup_of_identical_runs_is_one() {
         let mut lab = Lab::new(Scale::Small, 1);
-        let s = lab.speedup(BenchmarkId::Kmn, SchedulerKind::Fcfs, SchedulerKind::Fcfs);
+        let k = SchedulerKind::Fcfs;
+        assert_eq!(lab.try_speedup(BenchmarkId::Kmn, k, k), None);
+        assert_eq!(run_missing(&mut lab), 1, "one key, recorded once");
+        let s = lab.try_speedup(BenchmarkId::Kmn, k, k).expect("prefetched");
         assert!((s - 1.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn try_speedup_records_both_keys() {
+        let mut lab = Lab::new(Scale::Small, 1);
+        let (simt, fcfs) = (SchedulerKind::SimtAware, SchedulerKind::Fcfs);
+        assert_eq!(lab.try_speedup(BenchmarkId::Kmn, simt, fcfs), None);
+        let base = ConfigVariant::Baseline;
+        assert_eq!(
+            lab.take_missing(),
+            [
+                (BenchmarkId::Kmn, fcfs, base),
+                (BenchmarkId::Kmn, simt, base)
+            ]
+        );
+        assert_eq!(lab.executed, 0);
     }
 
     #[test]
@@ -585,16 +557,19 @@ mod tests {
         assert_eq!(lab.executed, 2);
         // Subsequent lookups are cache hits...
         let cycles = lab
-            .result(BenchmarkId::Kmn, SchedulerKind::Fcfs)
+            .try_result(BenchmarkId::Kmn, SchedulerKind::Fcfs)
+            .expect("prefetched")
             .metrics
             .cycles;
         assert_eq!(lab.executed, 2);
         // ...and match a serial lab exactly.
         let mut serial = Lab::new(Scale::Small, 1);
+        serial.prefetch(&SweepExecutor::serial(), [keys[0]]);
         assert_eq!(
             cycles,
             serial
-                .result(BenchmarkId::Kmn, SchedulerKind::Fcfs)
+                .try_result(BenchmarkId::Kmn, SchedulerKind::Fcfs)
+                .expect("prefetched")
                 .metrics
                 .cycles
         );
@@ -651,16 +626,21 @@ mod tests {
         assert!(lab
             .try_result(BenchmarkId::Kmn, SchedulerKind::Fcfs)
             .is_none());
+        assert_eq!(run_missing(&mut lab), 1);
         assert_eq!(lab.executed, 1);
         assert!(lab.has_failures());
         assert!(lab.failure_summary().contains("KMN"));
         assert!(lab.failure_summary().contains("injected fault"));
-        // Sticky: the failed cell is not re-run.
+        // Sticky: the failed cell is neither recorded again nor re-run.
         assert!(lab
             .try_result(BenchmarkId::Kmn, SchedulerKind::Fcfs)
             .is_none());
+        assert!(lab.take_missing().is_empty());
+        assert_eq!(lab.prefetch(&SweepExecutor::serial(), [key]), 0);
         assert_eq!(lab.executed, 1);
         // Other cells are untouched.
+        lab.try_result(BenchmarkId::Kmn, SchedulerKind::SimtAware);
+        assert_eq!(run_missing(&mut lab), 1);
         assert!(lab
             .try_result(BenchmarkId::Kmn, SchedulerKind::SimtAware)
             .is_some());

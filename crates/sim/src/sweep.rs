@@ -27,7 +27,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
 use std::thread;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use crate::error::{RunError, SimError};
 use crate::runner::{run_benchmark, RunSpec};
@@ -105,6 +105,9 @@ pub struct CellOutcome {
     /// The `max_events` budget of the final attempt (escalated by
     /// [`RetryPolicy::budget_factor`] on every budget-exhaustion retry).
     pub budget_events: u64,
+    /// Host wall time spent on all of the cell's attempts, backoff
+    /// included.
+    pub elapsed: Duration,
     /// The run's result or its typed failure.
     pub result: Result<RunResult, RunError>,
 }
@@ -241,19 +244,26 @@ pub(crate) fn fan_out_cells(
     sink: &mut dyn FnMut(&CellOutcome),
     attempt: &(dyn Fn(&RunSpec) -> AttemptOutcome + Sync),
 ) -> SweepReport {
+    // The one place a cell is run and timed, whichever thread runs it.
+    let run = |index: usize| {
+        let spec = &specs[index];
+        let started = Instant::now();
+        let (attempts, budget_events, result) = attempt(spec);
+        CellOutcome {
+            index,
+            label: spec.label(),
+            attempts,
+            budget_events,
+            elapsed: started.elapsed(),
+            result,
+        }
+    };
     let mut slots: Vec<Option<CellOutcome>> = (0..specs.len()).map(|_| None).collect();
     if workers <= 1 || specs.len() <= 1 {
-        for (index, spec) in specs.iter().enumerate() {
-            let (attempts, budget_events, result) = attempt(spec);
-            let outcome = CellOutcome {
-                index,
-                label: spec.label(),
-                attempts,
-                budget_events,
-                result,
-            };
+        for (index, slot) in slots.iter_mut().enumerate() {
+            let outcome = run(index);
             sink(&outcome);
-            slots[index] = Some(outcome);
+            *slot = Some(outcome);
         }
     } else {
         let next = AtomicUsize::new(0);
@@ -261,22 +271,13 @@ pub(crate) fn fan_out_cells(
         thread::scope(|scope| {
             for _ in 0..workers.min(specs.len()) {
                 let tx = tx.clone();
-                let next = &next;
+                let (next, run) = (&next, &run);
                 scope.spawn(move || loop {
                     // Dynamic work-stealing off a shared counter; outcomes
                     // flow back over the channel as soon as they finish so
                     // the sink (checkpointing) sees them immediately.
                     let i = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(spec) = specs.get(i) else { break };
-                    let (attempts, budget_events, result) = attempt(spec);
-                    let outcome = CellOutcome {
-                        index: i,
-                        label: spec.label(),
-                        attempts,
-                        budget_events,
-                        result,
-                    };
-                    if tx.send(outcome).is_err() {
+                    if i >= specs.len() || tx.send(run(i)).is_err() {
                         break;
                     }
                 });
@@ -305,6 +306,7 @@ pub(crate) fn fan_out_cells(
                     label: label.clone(),
                     attempts: 0,
                     budget_events: specs[index].config.max_events,
+                    elapsed: Duration::ZERO,
                     result: Err(RunError::Panicked {
                         message: format!("sweep worker died before reporting {label}"),
                     }),
@@ -520,5 +522,9 @@ mod tests {
         streamed.sort_unstable();
         assert_eq!(streamed, (0..specs.len()).collect::<Vec<_>>());
         assert!(report.all_ok());
+        assert!(
+            report.cells.iter().all(|c| c.elapsed > Duration::ZERO),
+            "every cell is timed"
+        );
     }
 }

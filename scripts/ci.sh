@@ -92,6 +92,23 @@ cmp -s "$resume_first" "$resume_second" || {
   exit 1
 }
 
+echo "== figures golden (the full small sweep prints the pinned tables)"
+# tests/golden/figures_small.txt is `figures all --scale small --quiet`;
+# it changes only under the ROADMAP re-bless rule. Thread and process
+# isolation must both print it byte for byte.
+figures_out="$(mktemp)"
+trap 'rm -f "$smoke_out" "$proc_out" "$resume_file" "$resume_first" "$resume_second" "$figures_out"' EXIT
+./target/release/figures all --scale small --quiet --jobs 2 >"$figures_out"
+cmp tests/golden/figures_small.txt "$figures_out" || {
+  echo "FAIL: figures output (--jobs 2) differs from tests/golden/figures_small.txt"
+  exit 1
+}
+./target/release/figures all --scale small --quiet --isolation process --jobs 2 >"$figures_out"
+cmp tests/golden/figures_small.txt "$figures_out" || {
+  echo "FAIL: figures output (--isolation process --jobs 2) differs from tests/golden/figures_small.txt"
+  exit 1
+}
+
 echo "== workspace unit tests (every crate's lib tests)"
 # Tier-1 runs only the root package's integration tests, among them the
 # exact work-count gate (tests/work_counts.rs). The randomized oracles,

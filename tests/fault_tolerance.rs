@@ -326,10 +326,12 @@ fn checkpoint_resume_reruns_only_the_failed_cell() {
 
     // The resumed results are bit-identical to a from-scratch lab.
     let mut fresh = Lab::new(Scale::Small, 7);
+    fresh.prefetch(&SweepExecutor::serial(), keys);
+    assert!(fresh.failures().is_empty());
     for (b, s, v) in keys {
         assert_eq!(
-            fresh.result_with(b, s, v),
-            resumed.result_with(b, s, v),
+            fresh.try_result_with(b, s, v).expect("fresh cell ran"),
+            resumed.try_result_with(b, s, v).expect("resumed cell ran"),
             "{b:?}/{s:?}"
         );
     }

@@ -275,10 +275,12 @@ fn dead_supervisor_resumes_from_torn_checkpoint() {
 
     // The resumed results are bit-identical to a from-scratch lab.
     let mut fresh = Lab::new(Scale::Small, 11);
+    fresh.prefetch(&SweepExecutor::serial(), keys);
+    assert!(fresh.failures().is_empty());
     for (b, s, v) in keys {
         assert_eq!(
-            fresh.result_with(b, s, v),
-            resumed.result_with(b, s, v),
+            fresh.try_result_with(b, s, v).expect("fresh cell ran"),
+            resumed.try_result_with(b, s, v).expect("resumed cell ran"),
             "{b:?}/{s:?}"
         );
     }

@@ -49,7 +49,7 @@ fn parallel_sweep_is_bit_identical_to_serial() {
 }
 
 #[test]
-fn prefetched_lab_matches_lazy_serial_lab() {
+fn parallel_prefetch_matches_serial_prefetch() {
     let keys = [
         (
             BenchmarkId::Mvt,
@@ -74,16 +74,23 @@ fn prefetched_lab_matches_lazy_serial_lab() {
     ];
     let mut parallel = Lab::new(Scale::Small, 0xC0FFEE);
     assert_eq!(parallel.prefetch(&SweepExecutor::new(4), keys), keys.len());
-    let mut lazy = Lab::new(Scale::Small, 0xC0FFEE);
+    let mut serial = Lab::new(Scale::Small, 0xC0FFEE);
+    assert_eq!(serial.prefetch(&SweepExecutor::serial(), keys), keys.len());
     for (id, kind, variant) in keys {
         assert_eq!(
-            parallel.result_with(id, kind, variant),
-            lazy.result_with(id, kind, variant),
+            parallel
+                .try_result_with(id, kind, variant)
+                .expect("prefetched"),
+            serial
+                .try_result_with(id, kind, variant)
+                .expect("prefetched"),
             "{id:?}/{kind:?}/{}",
             variant.label()
         );
     }
-    // The prefetch covered everything: no further runs were executed.
+    // The prefetch covered everything: no read found a missing cell and no
+    // further runs were executed.
+    assert!(parallel.take_missing().is_empty());
     assert_eq!(parallel.executed, keys.len() as u64);
 }
 
