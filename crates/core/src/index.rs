@@ -17,7 +17,7 @@
 //!   flight. Blocking is monotone: a blocked entry never becomes eligible
 //!   again, because the completing walk removes it (piggyback). The flag
 //!   is therefore set exactly twice — at push (page already inflight) and
-//!   at walk start ([`block_page`](Self::block_page)) — and eligibility
+//!   at walk start ([`block_page`](CandidateIndex::block_page)) — and eligibility
 //!   tests become one bool load instead of an inflight-set scan.
 //! * **Window tracking** — the scheduler only sees the `window_cap` oldest
 //!   entries. The window is a prefix of the arrival list, so membership is
@@ -72,14 +72,14 @@
 //!
 //! The owning [`Iommu`](crate::iommu::Iommu) must call, in order:
 //!
-//! * [`on_push`](Self::on_push) *after* `buffer.push`, with the entry's
+//! * [`on_push`](CandidateIndex::on_push) *after* `buffer.push`, with the entry's
 //!   blocked state (page already inflight);
-//! * [`on_rescore`](Self::on_rescore) when an instruction's pending chain
+//! * [`on_rescore`](CandidateIndex::on_rescore) when an instruction's pending chain
 //!   is rescored to a new shared score;
-//! * [`block_page`](Self::block_page) when a walk starts on a page (after
+//! * [`block_page`](CandidateIndex::block_page) when a walk starts on a page (after
 //!   removing the started entry itself);
-//! * [`pre_remove`](Self::pre_remove) *before* and
-//!   [`finish_remove`](Self::finish_remove) *after* every
+//! * [`pre_remove`](CandidateIndex::pre_remove) *before* and
+//!   [`finish_remove`](CandidateIndex::finish_remove) *after* every
 //!   `buffer.remove`, whatever the reason for the removal.
 
 use std::collections::HashMap;
@@ -388,7 +388,7 @@ impl CandidateIndex {
 
     /// First half of a removal: updates every derived structure that needs
     /// the entry's links while it is still threaded. Call *before*
-    /// `buffer.remove(handle)`, then [`finish_remove`](Self::finish_remove)
+    /// `buffer.remove(handle)`, then [`finish_remove`](CandidateIndex::finish_remove)
     /// after it.
     pub fn pre_remove<W>(&mut self, buf: &WalkBuffer<W>, handle: u32) {
         debug_assert!(self.pending_remove.is_none(), "nested removal");

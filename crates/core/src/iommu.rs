@@ -202,15 +202,6 @@ impl IommuStats {
         }
     }
 
-    /// Average memory accesses per executed walk.
-    pub fn avg_accesses_per_walk(&self) -> f64 {
-        if self.walks_performed == 0 {
-            0.0
-        } else {
-            self.total_walk_accesses as f64 / self.walks_performed as f64
-        }
-    }
-
     /// Average large-page walk-request latency in cycles.
     pub fn avg_large_walk_latency(&self) -> f64 {
         if self.large_completed_requests == 0 {

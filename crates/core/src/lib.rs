@@ -16,13 +16,13 @@
 //! * [`request`] — the buffered walk request (instruction ID, score, aging);
 //! * [`buffer`] — the pending-walk buffer: an arrival-ordered slab with a
 //!   per-instruction index (stable `u32` handles, O(1) insert/remove);
-//! * [`index`] — the incremental [`CandidateIndex`](index::CandidateIndex)
-//!   over the buffer window: eligibility, per-instruction aggregates, lazy
-//!   aging counts, same-page chains;
-//! * [`sched`] — the [`SchedulerKind`](sched::SchedulerKind) policy names
-//!   (FCFS / Random / SJF-only / Batch-only / SIMT-aware / Heaviest-first /
-//!   Round-robin) and the [`Scheduler`](sched::Scheduler) that answers each
-//!   of them from the candidate index, with starvation aging;
+//! * [`index`] — the incremental [`CandidateIndex`] over the buffer
+//!   window: eligibility, per-instruction aggregates, lazy aging counts,
+//!   same-page chains;
+//! * [`sched`] — the [`SchedulerKind`] policy names (FCFS / Random /
+//!   SJF-only / Batch-only / SIMT-aware / Heaviest-first / Round-robin)
+//!   and the [`Scheduler`] that answers each of them from the candidate
+//!   index, with starvation aging;
 //! * [`iommu`] — the IOMMU block: two TLB levels, the pending-walk buffer,
 //!   page-walk caches with 2-bit counter pinning, and the walker pool.
 //!

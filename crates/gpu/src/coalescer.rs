@@ -105,7 +105,7 @@ impl Dedup {
 /// instruction per event can recycle the same two buffers forever.
 ///
 /// Each lane's page and line is checked against a small hash table on the
-/// stack ([`Dedup`]) instead of scanning the keys found so far, so a
+/// stack (`Dedup`) instead of scanning the keys found so far, so a
 /// divergent 64-lane instruction costs 64 probes per kind rather than
 /// about 2,000 comparisons.
 ///

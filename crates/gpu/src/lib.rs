@@ -115,11 +115,6 @@ impl GpuConfig {
             l2_cache_cycles: 120,
         }
     }
-
-    /// Total wavefronts the GPU keeps resident.
-    pub fn total_wavefronts(&self) -> usize {
-        self.cus * self.wavefronts_per_cu
-    }
 }
 
 impl Default for GpuConfig {
@@ -137,7 +132,7 @@ mod tests {
         let g = GpuConfig::paper_baseline();
         assert_eq!(g.cus, 8);
         assert_eq!(g.wavefront_width, 64);
-        assert_eq!(g.total_wavefronts(), 128);
+        assert_eq!(g.cus * g.wavefronts_per_cu, 128);
     }
 
     /// A trivial in-memory stream to validate the trait contract.

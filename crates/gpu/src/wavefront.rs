@@ -89,15 +89,6 @@ impl Wavefront {
         self.blocked_cycles
     }
 
-    /// Whether the wavefront is blocked waiting on memory (translation or
-    /// data), as opposed to computing / ready / retired.
-    pub fn is_blocked(&self) -> bool {
-        matches!(
-            self.phase,
-            WavefrontPhase::Translating { .. } | WavefrontPhase::Fetching { .. }
-        )
-    }
-
     /// Issues a memory instruction needing `pages` translations, entering
     /// the translating phase.
     ///
@@ -209,7 +200,7 @@ mod tests {
         let mut w = wf();
         assert_eq!(w.phase(), WavefrontPhase::Ready);
         w.issue(InstrId::new(7), 2, Cycle::new(10));
-        assert!(w.is_blocked());
+        assert!(matches!(w.phase(), WavefrontPhase::Translating { .. }));
         assert_eq!(w.current_instr(), Some(InstrId::new(7)));
         assert!(!w.translation_done(3));
         assert!(w.translation_done(3));

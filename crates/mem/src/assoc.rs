@@ -8,9 +8,9 @@
 //!
 //! Two replacement policies are provided:
 //!
-//! * [`Replacement::Lru`] — true least-recently-used via access stamps;
-//! * [`Replacement::TreePlru`] — the classic binary-tree pseudo-LRU used by
-//!   real hardware (requires a power-of-two way count).
+//! * [`Replacement::Lru`] — true least-recently-used via access stamps
+//!   (the data caches and page-walk caches);
+//! * [`Replacement::Random`] — seeded pseudo-random victims (the TLBs).
 //!
 //! Pinned-aware victim selection follows the paper: prefer an unpinned
 //! victim; if *every* valid way is pinned, fall back to the policy's normal
@@ -22,12 +22,11 @@
 //! is optimized for the probe path (DESIGN.md §10, §14):
 //!
 //! * each set owns one contiguous, 64-byte-aligned **packed line**: word 0
-//!   is the valid bitmask, word 1 the tree-PLRU direction bits, then the
-//!   way fingerprints (eight 8-bit fingerprints per word), then the tags
-//!   (one `u64` word per way), followed — only under [`Replacement::Lru`]
-//!   — by the per-way access stamps. A probe loads the mask, the
-//!   replacement state, the fingerprints and the first tags with a single
-//!   cache line instead of touching separate arrays;
+//!   is the valid bitmask, then the way fingerprints (eight 8-bit
+//!   fingerprints per word), then the tags (one `u64` word per way),
+//!   followed — only under [`Replacement::Lru`] — by the per-way access
+//!   stamps. A probe loads the mask, the fingerprints and the first tags
+//!   with a single cache line instead of touching separate arrays;
 //! * validity is one `u64` bitmask per set (way counts are capped at 64;
 //!   the largest real geometry is 32), so scans visit only live ways and
 //!   "first free way" is a single `trailing_zeros`;
@@ -61,8 +60,6 @@ pub enum Replacement {
     /// True LRU (monotonic access stamps).
     #[default]
     Lru,
-    /// Binary-tree pseudo-LRU. The way count must be a power of two.
-    TreePlru,
     /// Pseudo-random victim selection (deterministic, seeded) — common in
     /// real TLBs, and crucially free of LRU's 0%-hit pathology under
     /// cyclic working sets slightly larger than the array.
@@ -140,9 +137,9 @@ pub struct AssocArray<V> {
     sets: usize,
     ways: usize,
     /// Packed per-set lines, [`stride`](Self::stride) blocks per set.
-    /// Word layout within a set: `[valid mask][plru bits][fingerprints ×
-    /// ceil(ways / 8)][tags × ways]` followed, under [`Replacement::Lru`]
-    /// only, by `[stamps × ways]`. Way `w`'s fingerprint is byte `w % 8`
+    /// Word layout within a set:
+    /// `[valid mask][fingerprints × ceil(ways / 8)][tags × ways]`
+    /// followed, under [`Replacement::Lru`] only, by `[stamps × ways]`. Way `w`'s fingerprint is byte `w % 8`
     /// of fingerprint word `w / 8`; fingerprint and tag of way `w` mean
     /// something iff bit `w` of the valid word is set.
     lines: Box<[LineBlock]>,
@@ -173,8 +170,7 @@ const _: () = assert!(core::mem::align_of::<LineBlock>() == 64);
 /// Word offsets inside a packed set line; the tags follow the
 /// [`fp_words`] fingerprint words.
 const VALID_WORD: usize = 0;
-const META_WORD: usize = 1;
-const FP_WORD: usize = 2;
+const FP_WORD: usize = 1;
 
 /// Fingerprint words of a `ways`-way set: eight 8-bit fingerprints each.
 /// Derived from `ways` on every access rather than stored, so the struct
@@ -214,8 +210,7 @@ impl<V: Copy> AssocArray<V> {
     ///
     /// # Panics
     ///
-    /// Panics if `sets` or `ways` is zero, if `ways` exceeds 64, or if
-    /// `TreePlru` is requested with a non-power-of-two way count.
+    /// Panics if `sets` or `ways` is zero, or if `ways` exceeds 64.
     pub fn new(sets: usize, ways: usize, policy: Replacement) -> Self {
         Self::with_seed(sets, ways, policy, 0x5eed_ba5e)
     }
@@ -225,8 +220,7 @@ impl<V: Copy> AssocArray<V> {
     ///
     /// # Panics
     ///
-    /// Panics if `sets` or `ways` is zero, if `ways` exceeds 64, or if
-    /// `TreePlru` is requested with a non-power-of-two way count.
+    /// Panics if `sets` or `ways` is zero, or if `ways` exceeds 64.
     pub fn with_seed(sets: usize, ways: usize, policy: Replacement, seed: u64) -> Self {
         assert!(
             sets > 0 && ways > 0,
@@ -236,12 +230,6 @@ impl<V: Copy> AssocArray<V> {
             ways <= MAX_WAYS,
             "AssocArray supports at most 64 ways (per-set valid bitmask)"
         );
-        if policy == Replacement::TreePlru {
-            assert!(
-                ways.is_power_of_two(),
-                "TreePlru requires power-of-two ways"
-            );
-        }
         let slots = sets * ways;
         let stamps = if policy == Replacement::Lru { ways } else { 0 };
         let stride = (FP_WORD + fp_words(ways) + ways + stamps).div_ceil(8);
@@ -331,18 +319,6 @@ impl<V: Copy> AssocArray<V> {
     fn set_valid(&mut self, set: usize, mask: u64) {
         // SAFETY: as in `valid`.
         unsafe { *self.words_mut(set).add(VALID_WORD) = mask }
-    }
-
-    #[inline]
-    fn meta(&self, set: usize) -> u64 {
-        // SAFETY: `words` bounds-checks `set`; word 1 is the PLRU word.
-        unsafe { *self.words(set).add(META_WORD) }
-    }
-
-    #[inline]
-    fn set_meta(&mut self, set: usize, bits: u64) {
-        // SAFETY: as in `meta`.
-        unsafe { *self.words_mut(set).add(META_WORD) = bits }
     }
 
     /// Borrows way `way`'s tag word in place; it holds the way's key while
@@ -437,42 +413,8 @@ impl<V: Copy> AssocArray<V> {
                 let tick = self.tick;
                 self.set_stamp(set, way, tick);
             }
-            Replacement::TreePlru => self.plru_touch(set, way),
             Replacement::Random => {}
         }
-    }
-
-    /// Flip the tree bits on the root-to-leaf path so they point *away*
-    /// from `way`.
-    fn plru_touch(&mut self, set: usize, way: usize) {
-        let mut node = 0usize; // root at index 0, children 2i+1 / 2i+2
-        let levels = self.ways.trailing_zeros();
-        let mut bits = self.meta(set);
-        for level in (0..levels).rev() {
-            let bit = (way >> level) & 1;
-            // Point away from the accessed half: store the opposite bit.
-            if bit == 0 {
-                bits |= 1 << node;
-            } else {
-                bits &= !(1 << node);
-            }
-            node = 2 * node + 1 + bit;
-        }
-        self.set_meta(set, bits);
-    }
-
-    /// Follow the tree bits to the pseudo-LRU victim way.
-    fn plru_victim(&self, set: usize) -> usize {
-        let mut node = 0usize;
-        let mut way = 0usize;
-        let levels = self.ways.trailing_zeros();
-        let bits = self.meta(set);
-        for _ in 0..levels {
-            let bit = ((bits >> node) & 1) as usize;
-            way = (way << 1) | bit;
-            node = 2 * node + 1 + bit;
-        }
-        way
     }
 
     /// Looks up `key` in `set`, updating recency on a hit.
@@ -614,19 +556,6 @@ impl<V: Copy> AssocArray<V> {
                 }
                 best.1
             }
-            Replacement::TreePlru => {
-                let v = self.plru_victim(set);
-                if !is_pinned(v) {
-                    return v;
-                }
-                // Paper: avoid pinned entries; fall back to the PLRU choice
-                // if everything is pinned. Scan from the PLRU victim for the
-                // first unpinned way to keep the choice deterministic.
-                (0..self.ways)
-                    .map(|off| (v + off) % self.ways)
-                    .find(|&w| !is_pinned(w))
-                    .unwrap_or(v)
-            }
             Replacement::Random => (0..self.ways)
                 .map(|off| (random_start + off) % self.ways)
                 .find(|&w| !is_pinned(w))
@@ -648,7 +577,6 @@ impl<V: Copy> AssocArray<V> {
     pub fn clear(&mut self) {
         for set in 0..self.sets {
             self.set_valid(set, 0);
-            self.set_meta(set, 0);
         }
         self.live = 0;
     }
@@ -684,8 +612,8 @@ impl<V> fmt::Debug for AssocArray<V> {
 
 #[cfg(test)]
 pub(crate) mod oracle {
-    //! The pre-refactor `Vec<Option<Way>>` implementation, kept verbatim as
-    //! the differential-test oracle for the bitmask/split-storage rewrite
+    //! The pre-refactor `Vec<Option<Way>>` implementation, kept as the
+    //! differential-test oracle for the bitmask/split-storage rewrite
     //! above. Every observable behavior — victim order, PRNG stream, tie
     //! breaks, iteration order — must match between the two.
 
@@ -702,7 +630,6 @@ pub(crate) mod oracle {
         ways: usize,
         entries: Vec<Option<Way<K, V>>>,
         policy: Replacement,
-        plru_bits: Vec<u64>,
         tick: u64,
         rng: ptw_types::rng::SplitMix64,
     }
@@ -710,24 +637,12 @@ pub(crate) mod oracle {
     impl<K: Eq + Copy, V> OracleArray<K, V> {
         pub fn with_seed(sets: usize, ways: usize, policy: Replacement, seed: u64) -> Self {
             assert!(sets > 0 && ways > 0);
-            if policy == Replacement::TreePlru {
-                assert!(ways.is_power_of_two());
-                assert!(ways <= 64);
-            }
             let mut entries = Vec::with_capacity(sets * ways);
             entries.resize_with(sets * ways, || None);
             OracleArray {
                 ways,
                 entries,
                 policy,
-                plru_bits: vec![
-                    0;
-                    if policy == Replacement::TreePlru {
-                        sets
-                    } else {
-                        0
-                    }
-                ],
                 tick: 0,
                 rng: ptw_types::rng::SplitMix64::new(seed),
             }
@@ -756,36 +671,6 @@ pub(crate) mod oracle {
             if let Some(e) = self.entries[slot].as_mut() {
                 e.stamp = tick;
             }
-            if self.policy == Replacement::TreePlru {
-                self.plru_touch(set, way);
-            }
-        }
-
-        fn plru_touch(&mut self, set: usize, way: usize) {
-            let mut node = 0usize;
-            let levels = self.ways.trailing_zeros();
-            for level in (0..levels).rev() {
-                let bit = (way >> level) & 1;
-                let bits = &mut self.plru_bits[set];
-                if bit == 0 {
-                    *bits |= 1 << node;
-                } else {
-                    *bits &= !(1 << node);
-                }
-                node = 2 * node + 1 + bit;
-            }
-        }
-
-        fn plru_victim(&self, set: usize) -> usize {
-            let mut node = 0usize;
-            let mut way = 0usize;
-            let levels = self.ways.trailing_zeros();
-            for _ in 0..levels {
-                let bit = ((self.plru_bits[set] >> node) & 1) as usize;
-                way = (way << 1) | bit;
-                node = 2 * node + 1 + bit;
-            }
-            way
         }
 
         pub fn lookup(&mut self, set: usize, key: K) -> Option<&V> {
@@ -868,16 +753,6 @@ pub(crate) mod oracle {
                     lru_of(&mut unpinned)
                         .or_else(|| lru_of(&mut (0..self.ways)))
                         .expect("non-empty set")
-                }
-                Replacement::TreePlru => {
-                    let v = self.plru_victim(set);
-                    if !is_pinned(v) {
-                        return v;
-                    }
-                    (0..self.ways)
-                        .map(|off| (v + off) % self.ways)
-                        .find(|&w| !is_pinned(w))
-                        .unwrap_or(v)
                 }
                 Replacement::Random => (0..self.ways)
                     .map(|off| (random_start + off) % self.ways)
@@ -1035,7 +910,7 @@ mod tests {
     /// words never match, neither for the removed key nor for its twins.
     #[test]
     fn equal_fingerprints_hit_exactly() {
-        for policy in [Replacement::Random, Replacement::Lru, Replacement::TreePlru] {
+        for policy in [Replacement::Random, Replacement::Lru] {
             let mut a: AssocArray<u64> = AssocArray::with_seed(1, 32, policy, 5);
             let keys = keys_with_fp(0xc3, 0, 40);
             for &k in &keys[..32] {
@@ -1092,41 +967,6 @@ mod tests {
         assert_eq!(a.invalidate(1, 7), Some(70));
         assert_eq!(a.probe(1, 7), None);
         assert_eq!(a.invalidate(1, 7), None);
-    }
-
-    #[test]
-    fn tree_plru_cycles_through_ways() {
-        let mut a: AssocArray<u32> = AssocArray::new(1, 4, Replacement::TreePlru);
-        for k in 0..4 {
-            a.fill(0, k, k as u32);
-        }
-        // Re-touch 0..3 in order; victim should be 0 (least recently pointed).
-        for k in 0..4 {
-            a.lookup(0, k);
-        }
-        let ev = a.fill(0, 100, 1);
-        // Tree-PLRU approximates LRU: the victim must not be the most
-        // recently used way (3).
-        assert_ne!(ev.unwrap().0, 3);
-    }
-
-    #[test]
-    fn tree_plru_single_hot_way_is_protected() {
-        let mut a: AssocArray<u32> = AssocArray::new(1, 4, Replacement::TreePlru);
-        for k in 0..4 {
-            a.fill(0, k, 0);
-        }
-        for i in 0..8 {
-            a.lookup(0, 3); // keep 3 hot
-            let ev = a.fill(0, 10 + i, 0).expect("set full");
-            assert_ne!(ev.0, 3, "hot way evicted on iteration {i}");
-        }
-    }
-
-    #[test]
-    #[should_panic]
-    fn tree_plru_requires_pow2() {
-        let _ = AssocArray::<()>::new(1, 3, Replacement::TreePlru);
     }
 
     #[test]
@@ -1228,7 +1068,7 @@ mod tests {
 
     #[test]
     fn clear_empties() {
-        let mut a: AssocArray<u32> = AssocArray::new(2, 2, Replacement::TreePlru);
+        let mut a: AssocArray<u32> = AssocArray::new(2, 2, Replacement::Lru);
         a.fill(0, 1, 10);
         a.clear();
         assert!(a.is_empty());
@@ -1240,7 +1080,7 @@ mod tests {
         assert_eq!(core::mem::size_of::<LineBlock>(), 64);
         assert_eq!(core::mem::align_of::<LineBlock>(), 64);
         // Every set's packed line starts on a host cache-line boundary,
-        // and a 16-way LRU set (2 meta + 2 fingerprint + 16 tags + 16
+        // and a 16-way LRU set (1 valid + 2 fingerprint + 16 tags + 16
         // stamps words) packs into 5 blocks.
         let a: AssocArray<u32> = AssocArray::new(4, 16, Replacement::Lru);
         assert_eq!(a.lines.as_ptr() as usize % 64, 0);
@@ -1334,7 +1174,7 @@ mod differential {
 
     #[test]
     fn matches_oracle_across_policies_and_pin_regimes() {
-        for policy in [Replacement::Lru, Replacement::TreePlru, Replacement::Random] {
+        for policy in [Replacement::Lru, Replacement::Random] {
             for pin in [PIN_NONE, PIN_SOME, PIN_ALL] {
                 for seed in [1u64, 0xBEEF, 0x1234_5678] {
                     drive(policy, seed, pin);
@@ -1409,7 +1249,6 @@ mod differential {
             (2, 16, Replacement::Lru),
             (1, 64, Replacement::Lru),
             (1, 9, Replacement::Lru),
-            (1, 32, Replacement::TreePlru),
         ];
         for (sets, ways, policy) in geometries {
             for pin in [PIN_NONE, PIN_SOME, PIN_ALL] {

@@ -160,11 +160,6 @@ impl Cache {
     pub fn stats(&self) -> &HitRate {
         &self.stats
     }
-
-    /// Number of resident lines.
-    pub fn resident_lines(&self) -> usize {
-        self.array.len()
-    }
 }
 
 /// Outcome of registering a miss in an [`Mshr`].

@@ -54,11 +54,6 @@ impl DramConfig {
         self.ranks_per_channel * self.banks_per_rank
     }
 
-    /// Total banks across the whole memory system.
-    pub fn total_banks(&self) -> usize {
-        self.channels * self.banks_per_channel()
-    }
-
     /// Validates internal consistency.
     ///
     /// # Errors

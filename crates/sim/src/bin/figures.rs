@@ -93,6 +93,15 @@ fn main() -> ExitCode {
         return ExitCode::from(ptw_sim::supervisor::worker_main());
     }
 
+    // A sweep worker's caught panic is reported by the default hook, which
+    // writes to stderr without taking its lock; holding the lock keeps the
+    // report and backtrace from splicing into a progress line mid-line.
+    let default_hook = std::panic::take_hook();
+    std::panic::set_hook(Box::new(move |info| {
+        let _stderr = std::io::stderr().lock();
+        default_hook(info);
+    }));
+
     let mut wanted: Vec<(&str, Render)> = Vec::new();
     let mut scale = Scale::Medium;
     let mut seed = 0xC0FFEE_u64;

@@ -3,7 +3,7 @@
 use ptw_core::iommu::IommuConfig;
 use ptw_core::sched::SchedulerKind;
 use ptw_gpu::GpuConfig;
-use ptw_mem::assoc::{Replacement, MAX_WAYS};
+use ptw_mem::assoc::MAX_WAYS;
 use ptw_mem::cache::CacheConfig;
 use ptw_mem::controller::MemSchedPolicy;
 use ptw_mem::dram::DramConfig;
@@ -176,40 +176,9 @@ impl FaultInjection {
 /// every eligible 2 MiB region).
 pub const MAX_LARGE_PAGE_PERMILLE: u32 = 1000;
 
-/// A half-open virtual-page range `[start_page, end_page)` owned by one
-/// IOMMU in an explicit shard map.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct VaRange {
-    /// First VPN of the range.
-    pub start_page: u64,
-    /// One past the last VPN of the range.
-    pub end_page: u64,
-    /// Index of the owning IOMMU.
-    pub iommu: usize,
-}
-
-impl VaRange {
-    fn overlaps(&self, other: &VaRange) -> bool {
-        self.start_page < other.end_page && other.start_page < self.end_page
-    }
-}
-
-/// How walk traffic is sharded across IOMMUs.
-#[derive(Clone, Debug, PartialEq, Eq, Default)]
-pub enum ShardMap {
-    /// Interleave 2 MiB-region indices modulo the IOMMU count (the
-    /// default). Keeping a whole 2 MiB region on one IOMMU means a large
-    /// page never straddles shards.
-    #[default]
-    Interleave,
-    /// Explicit VA ranges, each owned by one IOMMU; pages outside every
-    /// range fall back to interleaving.
-    VaRanges(Vec<VaRange>),
-}
-
 /// Shape of the translation fabric: how many GPU shards feed how many
-/// IOMMUs, how traffic is sharded, and what fraction of eligible 2 MiB
-/// regions the workload promotes to large pages.
+/// IOMMUs, and what fraction of eligible 2 MiB regions the workload
+/// promotes to large pages.
 ///
 /// The default (`1×1`, interleaved, all-4K) is pinned bit-identical to the
 /// pre-topology simulator — golden metrics must not move.
@@ -219,8 +188,6 @@ pub struct TopologyConfig {
     pub gpu_shards: usize,
     /// IOMMUs the walk traffic is sharded across.
     pub iommus: usize,
-    /// How pages map to IOMMUs.
-    pub shard_map: ShardMap,
     /// Fraction of eligible 2 MiB regions promoted to large pages, in
     /// permille (`0..=1000`). Zero keeps the all-4K behaviour.
     pub large_page_permille: u32,
@@ -232,7 +199,6 @@ impl TopologyConfig {
         TopologyConfig {
             gpu_shards: 1,
             iommus: 1,
-            shard_map: ShardMap::Interleave,
             large_page_permille: 0,
         }
     }
@@ -242,31 +208,14 @@ impl TopologyConfig {
         TopologyConfig {
             gpu_shards,
             iommus,
-            shard_map: ShardMap::Interleave,
             large_page_permille,
         }
     }
 
-    /// Whether this is the pinned `1×1` all-4K default.
-    pub fn is_single(&self) -> bool {
-        *self == Self::single()
-    }
-
-    /// The IOMMU owning `page`'s walk traffic. Sharding is by 2 MiB
-    /// region so a large page never straddles IOMMUs.
+    /// The IOMMU owning `page`'s walk traffic: 2 MiB-region indices
+    /// interleave modulo the IOMMU count, so a large page never straddles
+    /// IOMMUs.
     pub fn iommu_of_page(&self, page: ptw_types::addr::VirtPage) -> usize {
-        if self.iommus <= 1 {
-            return 0;
-        }
-        if let ShardMap::VaRanges(ranges) = &self.shard_map {
-            let vpn = page.raw();
-            if let Some(r) = ranges
-                .iter()
-                .find(|r| r.start_page <= vpn && vpn < r.end_page)
-            {
-                return r.iommu;
-            }
-        }
         (page.large_index() % self.iommus as u64) as usize
     }
 
@@ -355,7 +304,7 @@ impl SystemConfig {
     /// Checks: walker pool in `1..=`[`MAX_WALKERS`], nonzero IOMMU buffer,
     /// nonzero CU count, IOMMU count in `1..=`[`MAX_IOMMUS`],
     /// well-formed TLB geometries (entries a positive multiple of 1..=64
-    /// ways, power-of-two set count, power-of-two ways under tree-PLRU),
+    /// ways, power-of-two set count),
     /// a well-formed page-walk cache (entries per level a positive
     /// multiple of 1..=64 ways), well-formed data caches
     /// ([`CacheConfig::validate`](ptw_mem::cache::CacheConfig::validate)),
@@ -386,8 +335,7 @@ impl SystemConfig {
             let bad = tlb.entries == 0
                 || !(1..=MAX_WAYS).contains(&tlb.ways)
                 || tlb.entries % tlb.ways != 0
-                || !(tlb.entries / tlb.ways).is_power_of_two()
-                || (tlb.policy == Replacement::TreePlru && !tlb.ways.is_power_of_two());
+                || !(tlb.entries / tlb.ways).is_power_of_two();
             if bad {
                 return Err(ConfigError::TlbGeometry {
                     tlb: name,
@@ -447,35 +395,6 @@ impl SystemConfig {
                 got: topo.large_page_permille,
             });
         }
-        if let ShardMap::VaRanges(ranges) = &topo.shard_map {
-            if ranges.is_empty() {
-                return Err(ConfigError::EmptyShardMap);
-            }
-            for r in ranges {
-                if r.start_page >= r.end_page {
-                    return Err(ConfigError::EmptyVaRange {
-                        start_page: r.start_page,
-                        end_page: r.end_page,
-                    });
-                }
-                if r.iommu >= topo.iommus {
-                    return Err(ConfigError::ShardTargetOutOfRange {
-                        iommu: r.iommu,
-                        iommus: topo.iommus,
-                    });
-                }
-            }
-            for (i, a) in ranges.iter().enumerate() {
-                for b in &ranges[i + 1..] {
-                    if a.overlaps(b) {
-                        return Err(ConfigError::OverlappingVaRanges {
-                            first: (a.start_page, a.end_page),
-                            second: (b.start_page, b.end_page),
-                        });
-                    }
-                }
-            }
-        }
         Ok(())
     }
 
@@ -515,12 +434,6 @@ impl SystemConfig {
         self.topology.large_page_permille = permille;
         self
     }
-
-    /// Baseline with an explicit VA-range shard map.
-    pub fn with_shard_map(mut self, map: ShardMap) -> Self {
-        self.topology.shard_map = map;
-        self
-    }
 }
 
 impl Default for SystemConfig {
@@ -550,7 +463,6 @@ mod tests {
     #[test]
     fn default_topology_is_the_pinned_single() {
         let c = SystemConfig::paper_baseline();
-        assert!(c.topology.is_single());
         assert_eq!(c.topology, TopologyConfig::default());
         assert!(c.validate().is_ok());
     }
@@ -601,61 +513,6 @@ mod tests {
             Err(ConfigError::LargePagePermilleOutOfRange { got: 1001 })
         );
 
-        let c = SystemConfig::paper_baseline().with_shard_map(ShardMap::VaRanges(vec![]));
-        assert_eq!(c.validate(), Err(ConfigError::EmptyShardMap));
-
-        let c = SystemConfig::paper_baseline()
-            .with_topology(2, 2)
-            .with_shard_map(ShardMap::VaRanges(vec![VaRange {
-                start_page: 10,
-                end_page: 10,
-                iommu: 0,
-            }]));
-        assert_eq!(
-            c.validate(),
-            Err(ConfigError::EmptyVaRange {
-                start_page: 10,
-                end_page: 10
-            })
-        );
-
-        let c = SystemConfig::paper_baseline()
-            .with_topology(2, 2)
-            .with_shard_map(ShardMap::VaRanges(vec![VaRange {
-                start_page: 0,
-                end_page: 10,
-                iommu: 5,
-            }]));
-        assert_eq!(
-            c.validate(),
-            Err(ConfigError::ShardTargetOutOfRange {
-                iommu: 5,
-                iommus: 2
-            })
-        );
-
-        let c = SystemConfig::paper_baseline()
-            .with_topology(2, 2)
-            .with_shard_map(ShardMap::VaRanges(vec![
-                VaRange {
-                    start_page: 0,
-                    end_page: 100,
-                    iommu: 0,
-                },
-                VaRange {
-                    start_page: 50,
-                    end_page: 150,
-                    iommu: 1,
-                },
-            ]));
-        assert_eq!(
-            c.validate(),
-            Err(ConfigError::OverlappingVaRanges {
-                first: (0, 100),
-                second: (50, 150)
-            })
-        );
-
         // A well-formed sharded topology passes.
         let c = SystemConfig::paper_baseline()
             .with_topology(2, 2)
@@ -690,21 +547,11 @@ mod tests {
                 ways: 128
             })
         );
+        // A non-power-of-two way count is fine (12 × 3 is four sets), and
+        // the limits themselves are accepted.
         let mut c = SystemConfig::paper_baseline();
         c.gpu_l1_tlb.entries = 12;
         c.gpu_l1_tlb.ways = 3;
-        c.gpu_l1_tlb.policy = Replacement::TreePlru;
-        assert_eq!(
-            c.validate(),
-            Err(ConfigError::TlbGeometry {
-                tlb: "gpu-l1",
-                entries: 12,
-                ways: 3
-            })
-        );
-        // The same 12 × 3 shape is fine under the other policies, and the
-        // limits themselves are accepted.
-        c.gpu_l1_tlb.policy = Replacement::Random;
         c.iommu.pwc.entries_per_level = 128;
         c.iommu.pwc.ways = MAX_WAYS;
         assert_eq!(c.validate(), Ok(()));
@@ -725,16 +572,6 @@ mod tests {
             t.iommu_of_page(VirtPage::new(region)),
             t.iommu_of_page(VirtPage::new(region + PAGES_PER_LARGE_PAGE))
         );
-        // Explicit ranges override the interleave.
-        let t = TopologyConfig {
-            shard_map: ShardMap::VaRanges(vec![VaRange {
-                start_page: 0,
-                end_page: 1 << 30,
-                iommu: 1,
-            }]),
-            ..TopologyConfig::sharded(2, 2, 0)
-        };
-        assert_eq!(t.iommu_of_page(VirtPage::new(12345)), 1);
     }
 
     #[test]

@@ -30,9 +30,8 @@ pub enum ConfigError {
     /// The GPU has zero compute units; no wavefront could ever run.
     ZeroCus,
     /// A TLB's geometry is degenerate: zero entries, a way count outside
-    /// 1..=64 or not dividing the entry count, a non-power-of-two set
-    /// count (the index function requires power-of-two sets), or a
-    /// non-power-of-two way count under tree pseudo-LRU replacement.
+    /// 1..=64 or not dividing the entry count, or a non-power-of-two set
+    /// count (the index function requires power-of-two sets).
     TlbGeometry {
         /// Which TLB ("gpu-l1", "gpu-l2", "iommu-l1", "iommu-l2").
         tlb: &'static str,
@@ -99,29 +98,6 @@ pub enum ConfigError {
         /// The rejected value.
         got: u32,
     },
-    /// An explicit shard map was given but contains no VA ranges.
-    EmptyShardMap,
-    /// A shard-map VA range is empty (`start_page >= end_page`).
-    EmptyVaRange {
-        /// First VPN of the rejected range.
-        start_page: u64,
-        /// One past the last VPN of the rejected range.
-        end_page: u64,
-    },
-    /// A shard-map range names an IOMMU index outside the topology.
-    ShardTargetOutOfRange {
-        /// The out-of-range IOMMU index.
-        iommu: usize,
-        /// The topology's IOMMU count.
-        iommus: usize,
-    },
-    /// Two shard-map VA ranges overlap; a page would have two owners.
-    OverlappingVaRanges {
-        /// `(start_page, end_page)` of the first range.
-        first: (u64, u64),
-        /// `(start_page, end_page)` of the overlapping range.
-        second: (u64, u64),
-    },
 }
 
 impl std::fmt::Display for ConfigError {
@@ -140,8 +116,7 @@ impl std::fmt::Display for ConfigError {
             ConfigError::TlbGeometry { tlb, entries, ways } => write!(
                 f,
                 "{tlb} TLB geometry invalid: {entries} entries / {ways} ways \
-                 (need entries a positive multiple of 1..=64 ways, a power-of-two set count, \
-                 and power-of-two ways under tree-PLRU)"
+                 (need entries a positive multiple of 1..=64 ways and a power-of-two set count)"
             ),
             ConfigError::PwcGeometry {
                 entries_per_level,
@@ -186,25 +161,6 @@ impl std::fmt::Display for ConfigError {
             ConfigError::LargePagePermilleOutOfRange { got } => write!(
                 f,
                 "large-page fraction {got}\u{2030} out of range (need 0..=1000)"
-            ),
-            ConfigError::EmptyShardMap => {
-                write!(f, "explicit shard map contains no VA ranges")
-            }
-            ConfigError::EmptyVaRange {
-                start_page,
-                end_page,
-            } => write!(
-                f,
-                "shard-map VA range [{start_page:#x}, {end_page:#x}) is empty"
-            ),
-            ConfigError::ShardTargetOutOfRange { iommu, iommus } => write!(
-                f,
-                "shard-map range targets IOMMU {iommu} but the topology has {iommus}"
-            ),
-            ConfigError::OverlappingVaRanges { first, second } => write!(
-                f,
-                "shard-map VA ranges [{:#x}, {:#x}) and [{:#x}, {:#x}) overlap",
-                first.0, first.1, second.0, second.1
             ),
         }
     }

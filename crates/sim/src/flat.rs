@@ -30,9 +30,7 @@ use ptw_tlb::TlbConfig;
 use ptw_types::stats::BucketHistogram;
 use ptw_workloads::{BenchmarkId, Scale};
 
-use crate::config::{
-    FaultInjection, FaultKind, ShardMap, SystemConfig, TopologyConfig, VaRange, WatchdogConfig,
-};
+use crate::config::{FaultInjection, FaultKind, SystemConfig, TopologyConfig, WatchdogConfig};
 use crate::json::Value;
 use crate::metrics::RunMetrics;
 use crate::runner::RunSpec;
@@ -178,7 +176,7 @@ macro_rules! flat_table {
 }
 
 flat_table! {
-    Replacement { Lru => "lru", TreePlru => "tree-plru", Random => "random" }
+    Replacement { Lru => "lru", Random => "random" }
     MemSchedPolicy { FrFcfs => "fr-fcfs", Fcfs => "fcfs" }
 }
 
@@ -217,38 +215,6 @@ impl<T: Flat> Flat for Option<T> {
         };
         let partial = matches!(fields, Value::Obj(m) if m.iter().any(|(k, _)| under(k)));
         (!partial).then_some(None)
-    }
-}
-
-/// `"interleave"`, or one flat `[start, end, iommu, …]` array.
-impl Flat for ShardMap {
-    fn put(&self, key: &str, out: &mut String) {
-        match self {
-            ShardMap::Interleave => member(out, key, "\"interleave\""),
-            ShardMap::VaRanges(ranges) => {
-                let flat = ranges
-                    .iter()
-                    .flat_map(|r| [r.start_page, r.end_page, r.iommu as u64]);
-                put_u64s(out, key, &flat.collect::<Vec<_>>());
-            }
-        }
-    }
-    fn take(fields: &Value, key: &str) -> Option<Self> {
-        if fields.get(key)?.as_str() == Some("interleave") {
-            return Some(ShardMap::Interleave);
-        }
-        let flat = Vec::<u64>::take(fields, key)?;
-        if flat.len() % 3 != 0 {
-            return None;
-        }
-        let ranges = flat.chunks(3).map(|r| {
-            Some(VaRange {
-                start_page: r[0],
-                end_page: r[1],
-                iommu: usize::try_from(r[2]).ok()?,
-            })
-        });
-        ranges.collect::<Option<_>>().map(ShardMap::VaRanges)
     }
 }
 
@@ -312,7 +278,7 @@ flat_struct! {
     }
     WatchdogConfig { check_events, stall_epochs }
     FaultInjection { kind, at_event }
-    TopologyConfig { gpu_shards, iommus, shard_map, large_page_permille }
+    TopologyConfig { gpu_shards, iommus, large_page_permille }
 }
 
 /// Asserts that every member of the flat `line` is needed and read back:

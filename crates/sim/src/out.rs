@@ -3,7 +3,7 @@
 //! Rust ignores `SIGPIPE`, so writing to a closed pipe surfaces as an
 //! `io::Error` — which `println!` turns into a panic. `figures all | head`
 //! would therefore die with a backtrace the moment `head` exits. The
-//! binaries route every stdout write through [`print`]/[`println`] instead
+//! binaries route every stdout write through [`print`](fn@print)/[`println`](fn@println) instead
 //! (via a shadowing `println!` macro), which treat `BrokenPipe` as the
 //! reader saying "enough": the process exits cleanly with status 0, the
 //! Unix convention for a truncated pipeline.
@@ -27,7 +27,7 @@ pub fn println(args: fmt::Arguments<'_>) {
     check(lock.write_fmt(args).and_then(|()| lock.write_all(b"\n")));
 }
 
-/// Flushes stdout with the same failure policy as [`println`].
+/// Flushes stdout with the same failure policy as [`println`](fn@println).
 pub fn flush() {
     check(io::stdout().flush());
 }

@@ -17,13 +17,13 @@
 //!   tail of its stderr;
 //! * both classifications are retryable — host-side conditions (memory
 //!   pressure, scheduling) are not deterministic — so the shared
-//!   [`retry_loop`] respawns with exponential backoff and the same budget
+//!   `retry_loop` respawns with exponential backoff and the same budget
 //!   escalation as the in-process path;
 //! * a cell whose retries are exhausted degrades to a FAILED row exactly
 //!   like the thread-isolated path; the other cells complete.
 //!
 //! Spec-order merge, dynamic distribution, and the streaming-checkpoint
-//! sink all come from the same [`fan_out_cells`] engine the thread path
+//! sink all come from the same `fan_out_cells` engine the thread path
 //! uses, so the two isolation modes produce identical result rows for an
 //! all-healthy sweep.
 

@@ -791,7 +791,7 @@ impl System {
     ///
     /// The loop drains whole same-cycle calendar buckets at once
     /// ([`EventQueue::pop_bucket_into`]) and dispatches each bucket through
-    /// [`dispatch_bucket`](Self::dispatch_bucket). Same-cycle events newly
+    /// `dispatch_bucket`. Same-cycle events newly
     /// scheduled by a bucket's handlers carry larger insertion sequence
     /// numbers than anything drained, so re-draining the same cycle on the
     /// next iteration reproduces the exact `(time, seq)` order of a
@@ -805,7 +805,7 @@ impl System {
     /// per-event checks are hoisted to a per-bucket checkpoint: a bucket
     /// whose last event provably stays below every trigger threshold takes
     /// a check-free fast path; otherwise a slow path runs
-    /// [`check_event`](Self::check_event) before each event with the count
+    /// `check_event` before each event with the count
     /// the queue would have reported after popping it alone, so budget,
     /// watchdog, and injected faults trigger at the same event counts with
     /// the same payloads as a per-event loop.

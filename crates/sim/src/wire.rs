@@ -108,7 +108,7 @@ pub fn decode_response(line: &str) -> Option<Result<RunResult, RunError>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{FaultInjection, ShardMap, TopologyConfig, VaRange};
+    use crate::config::{FaultInjection, TopologyConfig};
     use crate::error::ConfigError;
     use ptw_core::sched::SchedulerKind;
     use ptw_mem::assoc::Replacement;
@@ -124,8 +124,8 @@ mod tests {
     }
 
     /// A spec with every kind of mutation a real sweep produces: escalated budget,
-    /// injected fault, sharded topology with explicit VA ranges, large
-    /// pages, non-default policies.
+    /// injected fault, sharded topology, large pages, non-default
+    /// policies.
     fn mutated_spec() -> RunSpec {
         let mut spec = RunSpec::new(
             BenchmarkId::Ssp,
@@ -137,24 +137,8 @@ mod tests {
         spec.config.fault = Some(FaultInjection::hang_at(12_345));
         spec.config.mem_policy = MemSchedPolicy::Fcfs;
         spec.config.iommu.pwc.counter_pinning = false;
-        spec.config.gpu_l2_tlb.policy = Replacement::TreePlru;
-        spec.config.topology = TopologyConfig {
-            gpu_shards: 2,
-            iommus: 4,
-            shard_map: ShardMap::VaRanges(vec![
-                VaRange {
-                    start_page: 0,
-                    end_page: 1 << 40,
-                    iommu: 3,
-                },
-                VaRange {
-                    start_page: 1 << 40,
-                    end_page: 1 << 41,
-                    iommu: 1,
-                },
-            ]),
-            large_page_permille: 500,
-        };
+        spec.config.gpu_l2_tlb.policy = Replacement::Lru;
+        spec.config.topology = TopologyConfig::sharded(2, 4, 500);
         spec
     }
 

@@ -18,7 +18,7 @@
 //! Lookups are exact key → value matches and nothing iterates the map, so
 //! swapping the container can never change simulated results. Every slot
 //! a lookup, insert, removal or growth examines counts as one
-//! [`Work::MapSlots`](crate::work::Work::MapSlots).
+//! [`Work::MapSlots`].
 
 use crate::work::{self, Work};
 

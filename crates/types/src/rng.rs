@@ -86,14 +86,6 @@ impl SplitMix64 {
         self.next_f64() < p
     }
 
-    /// Shuffles a slice in place (Fisher–Yates).
-    pub fn shuffle<T>(&mut self, slice: &mut [T]) {
-        for i in (1..slice.len()).rev() {
-            let j = self.index(i + 1);
-            slice.swap(i, j);
-        }
-    }
-
     /// Derives an independent generator for a subcomponent.
     ///
     /// Streams derived with different `tag`s are decorrelated even when the
@@ -152,19 +144,6 @@ mod tests {
             let x = r.next_f64();
             assert!((0.0..1.0).contains(&x));
         }
-    }
-
-    #[test]
-    fn shuffle_is_permutation() {
-        let mut r = SplitMix64::new(11);
-        let mut v: Vec<u32> = (0..50).collect();
-        r.shuffle(&mut v);
-        let mut sorted = v.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..50).collect::<Vec<_>>());
-        // With 50 elements the identity permutation is astronomically
-        // unlikely.
-        assert_ne!(v, (0..50).collect::<Vec<_>>());
     }
 
     #[test]

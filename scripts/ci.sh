@@ -16,6 +16,9 @@ echo "== cargo clippy (all targets, warnings are errors)"
 cargo clippy --workspace --all-targets -- -D warnings
 cargo clippy --offline --manifest-path simbench/Cargo.toml --all-targets -- -D warnings
 
+echo "== cargo doc (broken or private intra-doc links are errors)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
+
 echo "== cargo build --release (workspace, including bin targets)"
 cargo build --release --workspace
 

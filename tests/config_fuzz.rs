@@ -15,8 +15,7 @@ use ptw_mem::assoc::{Replacement, MAX_WAYS};
 use ptw_mem::controller::MemSchedPolicy;
 use ptw_mem::dram::MAX_BANKS_PER_CHANNEL;
 use ptw_sim::config::{
-    FaultInjection, ShardMap, VaRange, MAX_EPOCH_ACCESSES, MAX_IOMMUS, MAX_LARGE_PAGE_PERMILLE,
-    MAX_WALKERS,
+    FaultInjection, MAX_EPOCH_ACCESSES, MAX_IOMMUS, MAX_LARGE_PAGE_PERMILLE, MAX_WALKERS,
 };
 use ptw_sim::{System, SystemConfig};
 use ptw_tlb::TlbConfig;
@@ -45,10 +44,9 @@ enum Break {
     Iommus,
     GpuShards,
     LargePages,
-    ShardMap,
 }
 
-const BREAKS: [Break; 13] = [
+const BREAKS: [Break; 12] = [
     Break::Walkers,
     Break::BufferEntries,
     Break::Cus,
@@ -61,7 +59,6 @@ const BREAKS: [Break; 13] = [
     Break::Iommus,
     Break::GpuShards,
     Break::LargePages,
-    Break::ShardMap,
 ];
 
 struct Draw(SplitMix64);
@@ -88,19 +85,10 @@ impl Draw {
         self.below(2) == 0
     }
 
-    fn replacement(&mut self) -> Replacement {
-        self.pick(&[Replacement::Lru, Replacement::TreePlru, Replacement::Random])
-    }
-
-    /// A valid TLB: a power-of-two set count, 1..=64 ways, and
-    /// power-of-two ways under tree-PLRU.
+    /// A valid TLB: a power-of-two set count and 1..=64 ways.
     fn tlb(&mut self) -> TlbConfig {
-        let policy = self.replacement();
-        let ways = if policy == Replacement::TreePlru {
-            1 << self.below(7)
-        } else {
-            self.usize(1, MAX_WAYS)
-        };
+        let policy = self.pick(&[Replacement::Lru, Replacement::Random]);
+        let ways = self.usize(1, MAX_WAYS);
         TlbConfig {
             entries: ways << self.below(6),
             ways,
@@ -111,22 +99,16 @@ impl Draw {
     /// A TLB just outside one of its rules.
     fn bad_tlb(&mut self) -> TlbConfig {
         let mut t = self.tlb();
-        match self.below(5) {
+        match self.below(4) {
             0 => t.entries = 0,
             1 => t.ways = 0,
             2 => {
                 t.ways = MAX_WAYS + 1;
                 t.entries = t.ways;
             }
-            3 => {
-                // Three sets: entries divide, but not into a power of two.
-                t.policy = Replacement::Random;
-                t.entries = 3 * t.ways;
-            }
             _ => {
-                t.policy = Replacement::TreePlru;
-                t.ways = self.pick(&[3, 5, 6, 12, 24]);
-                t.entries = t.ways;
+                // Three sets: entries divide, but not into a power of two.
+                t.entries = 3 * t.ways;
             }
         }
         t
@@ -191,24 +173,6 @@ fn draw_config(d: &mut Draw) -> (SystemConfig, Option<Break>) {
     t.iommus = d.pick(&[1, 2, 3, 4, MAX_IOMMUS]);
     t.gpu_shards = d.usize(1, c.gpu.cus);
     t.large_page_permille = d.pick(&[0, 1, 125, 500, MAX_LARGE_PAGE_PERMILLE]);
-    if d.below(4) == 0 {
-        // Disjoint ranges, each owned by an existing IOMMU.
-        let mut start = d.range(0, 1 << 20);
-        let ranges = (0..d.range(1, 3))
-            .map(|_| {
-                let end = start + d.range(1, 1 << 16);
-                let r = VaRange {
-                    start_page: start,
-                    end_page: end,
-                    iommu: d.usize(0, t.iommus - 1),
-                };
-                start = end + d.range(0, 1 << 10);
-                r
-            })
-            .collect();
-        t.shard_map = ShardMap::VaRanges(ranges);
-    }
-
     if d.below(3) != 0 {
         return (c, None);
     }
@@ -279,34 +243,6 @@ fn draw_config(d: &mut Draw) -> (SystemConfig, Option<Break>) {
         Break::Iommus => c.topology.iommus = d.pick(&[0, MAX_IOMMUS + 1]),
         Break::GpuShards => c.topology.gpu_shards = d.pick(&[0, c.gpu.cus + 1]),
         Break::LargePages => c.topology.large_page_permille = MAX_LARGE_PAGE_PERMILLE + 1,
-        Break::ShardMap => {
-            let iommus = c.topology.iommus;
-            c.topology.shard_map = ShardMap::VaRanges(match d.below(4) {
-                0 => vec![],
-                1 => vec![VaRange {
-                    start_page: 10,
-                    end_page: 10,
-                    iommu: 0,
-                }],
-                2 => vec![VaRange {
-                    start_page: 0,
-                    end_page: 10,
-                    iommu: iommus,
-                }],
-                _ => vec![
-                    VaRange {
-                        start_page: 0,
-                        end_page: 100,
-                        iommu: 0,
-                    },
-                    VaRange {
-                        start_page: 99,
-                        end_page: 200,
-                        iommu: 0,
-                    },
-                ],
-            });
-        }
     }
     (c, Some(broken))
 }
