@@ -6,16 +6,26 @@
 //! run to a file, flushed per record, so a rerun of `figures --resume`
 //! reloads every finished cell and re-executes only what is missing.
 //!
-//! # Format (v4)
+//! # Format
 //!
-//! Line 1 is a header binding the file to a `(version, scale, seed)`
-//! triple; a mismatched header discards the stale content (results from a
-//! different scale or seed are not reusable). Every further line is one
-//! flat line (`crate::flat`) holding a cell key (`"KMN|FCFS|baseline"`),
-//! the digest of the cell's spec, and every field of its [`RunResult`]
-//! under its field path (`metrics.cycles`, `mem.row_hits`, …). `f64`
-//! fields are stored as their IEEE-754 bit patterns, so a resumed result
-//! is **bit-identical** to the original run.
+//! Line 1 is a header binding the file to a `(model, scale, seed)` triple.
+//! `model` is the FNV-1a digest of the committed run-metrics golden
+//! (`tests/golden/run_metrics.txt`), so a re-bless of the golden resets
+//! every checkpoint written before it: a file whose header names another
+//! model, or the retired `"v"` format of earlier versions, is truncated
+//! and its cells re-run. The digest covers only the cells that golden
+//! pins, so a model change must move a golden value to reach old
+//! checkpoints, which the re-bless rule requires anyway. A file that is
+//! not a checkpoint, or a checkpoint of another scale or seed, is refused
+//! and left as it is.
+//!
+//! Every further line is one flat line (`crate::flat`) holding a cell key
+//! (`"KMN|FCFS|baseline"`), the digest of the cell's spec, and every field
+//! of its [`RunResult`] under its field path (`metrics.cycles`,
+//! `mem.row_hits`, …). `f64` fields are stored as their IEEE-754 bit
+//! patterns, so a resumed result is **bit-identical** to the original run.
+//! A record whose framing no longer decodes is skipped and its cell
+//! re-runs, so a framing change needs no version number either.
 //!
 //! The spec digest is the FNV-1a hash of the `crate::wire` encoding of the
 //! cell's [`RunSpec`](crate::RunSpec) without any injected fault. A record
@@ -39,12 +49,21 @@ use crate::json::Value;
 use crate::runner::{cell_spec, ConfigVariant};
 use crate::system::RunResult;
 
-/// Checkpoint format version (bump on any encoding change).
-///
-/// v2 added the topology fields, v3 the DRAM occupancy counters. v4 keys
-/// every field by its path from the one schema in `crate::flat` and binds
-/// each record to its cell's spec digest.
-const VERSION: u64 = 4;
+/// The committed run-metrics golden; its digest names the model a
+/// checkpoint's records come from.
+const GOLDEN: &[u8] = include_bytes!("../../../tests/golden/run_metrics.txt");
+const MODEL: u64 = fnv1a(GOLDEN);
+
+/// The 64-bit FNV-1a hash of `bytes`.
+const fn fnv1a(bytes: &[u8]) -> u64 {
+    let mut hash = 0xcbf2_9ce4_8422_2325;
+    let mut i = 0;
+    while i < bytes.len() {
+        hash = (hash ^ bytes[i] as u64).wrapping_mul(0x0100_0000_01b3);
+        i += 1;
+    }
+    hash
+}
 
 /// One sweep cell's identity.
 pub type CellKey = (BenchmarkId, SchedulerKind, ConfigVariant);
@@ -62,41 +81,44 @@ impl SweepCheckpoint {
     /// Opens (creating if necessary) the checkpoint at `path` for runs at
     /// `(scale, seed)`, returning previously persisted results.
     ///
-    /// A missing file is created with a fresh header. A file whose header
-    /// names a different version, scale or seed is truncated — its results
-    /// are not reusable. Malformed record lines and records bound to
-    /// another spec are skipped; a torn final line is cut off.
+    /// A missing or empty file gets a fresh header, and so does a file
+    /// whose header names another model: its results are stale. A
+    /// non-empty file that is not a checkpoint, or a checkpoint of another
+    /// scale or seed, is refused with [`io::ErrorKind::InvalidData`] and
+    /// left untouched. Malformed record lines and records bound to another
+    /// spec are skipped; a torn final line is cut off.
     pub fn open(
         path: impl Into<PathBuf>,
         scale: Scale,
         seed: u64,
     ) -> io::Result<(Self, Vec<(CellKey, RunResult)>)> {
         let path = path.into();
+        let bytes = match std::fs::read(&path) {
+            Ok(bytes) => bytes,
+            Err(e) if e.kind() == io::ErrorKind::NotFound => Vec::new(),
+            Err(e) => return Err(e),
+        };
+        // Only whole lines count: a torn tail without `\n` is dropped.
+        let whole = bytes.iter().rposition(|&b| b == b'\n').map_or(0, |i| i + 1);
+        let resume = if bytes.is_empty() {
+            false
+        } else {
+            let header = bytes.split(|&b| b == b'\n').next().unwrap_or_default();
+            header_is_current(&path, &String::from_utf8_lossy(header), scale, seed)? && whole > 0
+        };
         let mut loaded = Vec::new();
-        let mut kept = None;
-        if let Ok(content) = std::fs::read_to_string(&path) {
-            // Only whole lines count: a torn tail without `\n` is dropped.
-            let whole = &content[..content.rfind('\n').map_or(0, |i| i + 1)];
-            let mut lines = whole.lines();
-            if lines.next().is_some_and(|h| header_matches(h, scale, seed)) {
-                kept = Some(whole.len() as u64);
-                loaded.extend(lines.filter_map(|line| {
-                    let (key, digest, result) = decode_record(line)?;
-                    (digest == spec_digest(key, scale, seed)).then_some((key, result))
-                }));
-            }
-        }
-        let file = if let Some(len) = kept {
+        let file = if resume {
+            let lines = String::from_utf8_lossy(&bytes[..whole]);
+            loaded.extend(lines.lines().skip(1).filter_map(|line| {
+                let (key, digest, result) = decode_record(line)?;
+                (digest == spec_digest(key, scale, seed)).then_some((key, result))
+            }));
             let f = OpenOptions::new().append(true).open(&path)?;
-            f.set_len(len)?;
+            f.set_len(whole as u64)?;
             f
         } else {
             let mut f = File::create(&path)?;
-            writeln!(
-                f,
-                "{{\"v\":{VERSION},\"scale\":\"{}\",\"seed\":{seed}}}",
-                scale.label()
-            )?;
+            writeln!(f, "{}", header(scale, seed))?;
             f.flush()?;
             f
         };
@@ -126,21 +148,38 @@ impl SweepCheckpoint {
     }
 }
 
-fn header_matches(line: &str, scale: Scale, seed: u64) -> bool {
-    let Some(fields) = parse_flat_json(line) else {
-        return false;
+/// The header line of a checkpoint of this model at `(scale, seed)`.
+fn header(scale: Scale, seed: u64) -> String {
+    format!(
+        "{{\"model\":{MODEL},\"scale\":\"{}\",\"seed\":{seed}}}",
+        scale.label()
+    )
+}
+
+/// Reads the first line of a non-empty file: `Ok(true)` for a checkpoint
+/// of this model at `(scale, seed)`, `Ok(false)` for one of another model
+/// or in the retired `"v"` format, which is reset. Anything else is
+/// refused with [`io::ErrorKind::InvalidData`].
+fn header_is_current(path: &Path, line: &str, scale: Scale, seed: u64) -> io::Result<bool> {
+    let fields = parse_flat_json(line).unwrap_or(Value::Null);
+    let model = fields.get("model").and_then(Value::as_u64);
+    let stamped = model.is_some() || fields.get("v").and_then(Value::as_u64).is_some();
+    let file_scale = fields.get("scale").and_then(Value::as_str);
+    let file_seed = fields.get("seed").and_then(Value::as_u64);
+    let why = match (stamped, file_scale, file_seed) {
+        (true, Some(s), Some(d)) if (s, d) == (scale.label(), seed) => {
+            return Ok(model == Some(MODEL))
+        }
+        (true, Some(s), Some(d)) => format!("a checkpoint of scale {s} seed {d}"),
+        _ => "not a sweep checkpoint".to_owned(),
     };
-    fields.get("v").and_then(Value::as_u64) == Some(VERSION)
-        && fields.get("scale").and_then(Value::as_str) == Some(scale.label())
-        && fields.get("seed").and_then(Value::as_u64) == Some(seed)
+    let message = format!("{} is {why}; refusing to overwrite it", path.display());
+    Err(io::Error::new(io::ErrorKind::InvalidData, message))
 }
 
 /// FNV-1a of the wire encoding of `key`'s spec at `(scale, seed)`.
 fn spec_digest(key: CellKey, scale: Scale, seed: u64) -> u64 {
-    let line = crate::wire::encode_spec(&cell_spec(key, scale, seed));
-    line.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
-        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
-    })
+    fnv1a(crate::wire::encode_spec(&cell_spec(key, scale, seed)).as_bytes())
 }
 
 /// Serializes `key` for the record line: `"KMN|FCFS|baseline"`.
@@ -174,69 +213,16 @@ fn decode_record(line: &str) -> Option<(CellKey, u64, RunResult)> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::metrics::RunMetrics;
-    use ptw_core::IommuStats;
-    use ptw_mem::controller::MemStats;
-    use ptw_types::rng::SplitMix64;
-    use ptw_types::stats::BucketHistogram;
 
-    fn synthetic_result(rng: &mut SplitMix64) -> RunResult {
-        let mut hist = BucketHistogram::new(&crate::metrics::WORK_BUCKETS);
-        for _ in 0..10 {
-            hist.add(1 + rng.next_below(300));
-        }
-        RunResult {
-            metrics: RunMetrics {
-                cycles: rng.next_u64() >> 32,
-                instructions: rng.next_below(1 << 20),
-                cu_stall_cycles: rng.next_u64() >> 40,
-                walk_requests: rng.next_below(1 << 16),
-                walks_performed: rng.next_below(1 << 16),
-                work_hist: hist,
-                interleaved_fraction: rng.next_f64(),
-                mean_first_latency: rng.next_f64() * 1e4,
-                mean_last_latency: rng.next_f64() * 1e5,
-                mean_latency_gap: rng.next_f64() * 1e3,
-                mean_epoch_wavefronts: rng.next_f64() * 64.0,
-                l2_tlb_accesses: rng.next_below(1 << 24),
-                instructions_with_walks: rng.next_below(1 << 12),
-                multi_walk_instructions: rng.next_below(1 << 12),
-            },
-            iommu: IommuStats {
-                walk_requests: rng.next_below(1 << 16),
-                walks_performed: rng.next_below(1 << 16),
-                merged_completions: rng.next_below(1 << 10),
-                total_walk_accesses: rng.next_below(1 << 18),
-                peak_pending: rng.index(500),
-                total_walk_latency: rng.next_u64() >> 32,
-                completed_requests: rng.next_below(1 << 16),
-                large_walks_performed: rng.next_below(1 << 12),
-                large_completed_requests: rng.next_below(1 << 12),
-                large_total_walk_latency: rng.next_u64() >> 40,
-            },
-            mem: MemStats {
-                data_requests: rng.next_below(1 << 24),
-                walk_requests: rng.next_below(1 << 20),
-                row_hits: rng.next_below(1 << 22),
-                row_conflicts: rng.next_below(1 << 22),
-                total_latency: rng.next_u64() >> 24,
-                completed: rng.next_below(1 << 24),
-                peak_queue_depth: rng.next_below(1 << 10),
-                peak_busy_banks: rng.next_below(64),
-                queue_depth_cycles: rng.next_u64() >> 20,
-                busy_bank_cycles: rng.next_u64() >> 24,
-                observed_cycles: rng.next_u64() >> 32,
-            },
-            per_iommu_walks: vec![rng.next_below(1 << 14), rng.next_below(1 << 14)],
-            iommu_imbalance: 1.0 + rng.next_f64(),
-            gpu_tlb_large_hits: rng.next_below(1 << 18),
-            gpu_l1_tlb_hit_rate: rng.next_f64(),
-            gpu_l2_tlb_hit_rate: rng.next_f64(),
-            l1_cache_hit_rate: rng.next_f64(),
-            l2_cache_hit_rate: rng.next_f64(),
-            events: rng.next_u64() >> 16,
-            finish_spread: 1.0 + rng.next_f64(),
-        }
+    /// The results the run-metrics golden pins: real runs' (with `events`
+    /// 0), the last two on a sharded topology with 2 MiB pages.
+    fn golden_results() -> Vec<RunResult> {
+        let golden = std::str::from_utf8(GOLDEN).expect("a UTF-8 golden");
+        let decode = |line: &str| crate::wire::decode_response(line.split_once(' ')?.1)?.ok();
+        golden
+            .lines()
+            .map(|l| decode(l).expect("a golden result"))
+            .collect()
     }
 
     fn temp_path(tag: &str) -> PathBuf {
@@ -245,10 +231,9 @@ mod tests {
 
     #[test]
     fn record_roundtrip_is_bit_identical() {
-        let mut rng = SplitMix64::new(0xDECAF);
-        for kind in [SchedulerKind::Fcfs, SchedulerKind::SimtAware] {
+        for (i, result) in golden_results().into_iter().enumerate() {
+            let kind = [SchedulerKind::Fcfs, SchedulerKind::SimtAware][i % 2];
             let key = (BenchmarkId::Kmn, kind, ConfigVariant::Baseline);
-            let result = synthetic_result(&mut rng);
             let line = encode_record(key, 7, &result);
             let (k2, digest, r2) = decode_record(&line).expect("roundtrip parse");
             assert_eq!((k2, digest), (key, 7));
@@ -259,16 +244,26 @@ mod tests {
     #[test]
     fn every_record_member_is_needed_and_read_back() {
         let key = (BenchmarkId::Nw, SchedulerKind::Fcfs, ConfigVariant::MemFcfs);
-        let line = encode_record(key, 7, &synthetic_result(&mut SplitMix64::new(17)));
+        let line = encode_record(key, 7, &golden_results().remove(15));
         flat::assert_every_member_is_needed(&line, decode_record);
+    }
+
+    /// Asserts that `open` refuses the file at `path` with an error that
+    /// names it, and leaves the file byte-identical.
+    fn assert_refused(path: &Path, scale: Scale, seed: u64) {
+        let before = std::fs::read(path).expect("read");
+        let err = SweepCheckpoint::open(path, scale, seed).expect_err("refused");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        let name = path.display().to_string();
+        assert!(err.to_string().contains(&name), "{err}");
+        assert_eq!(std::fs::read(path).expect("read"), before, "untouched");
     }
 
     #[test]
     fn open_append_reload() {
         let path = temp_path("reload");
-        let _ = std::fs::remove_file(&path);
-        let mut rng = SplitMix64::new(7);
-        let result = synthetic_result(&mut rng);
+        std::fs::write(&path, "").expect("an empty file gets a header");
+        let result = golden_results().remove(4);
         let key = (
             BenchmarkId::Mvt,
             SchedulerKind::SimtAware,
@@ -280,37 +275,56 @@ mod tests {
             cp.append(key, &result).expect("append");
         }
         let (_cp, loaded) = SweepCheckpoint::open(&path, Scale::Small, 42).expect("reopen");
-        assert_eq!(loaded.len(), 1);
-        assert_eq!(loaded[0].0, key);
-        assert_eq!(loaded[0].1, result);
-        // A different (scale, seed) discards the stale contents.
-        let (_cp, loaded) = SweepCheckpoint::open(&path, Scale::Small, 43).expect("mismatch");
-        assert!(loaded.is_empty());
+        assert_eq!(loaded, vec![(key, result)]);
+        // A checkpoint of another (scale, seed) is refused, not truncated.
+        assert_refused(&path, Scale::Small, 43);
+        assert_refused(&path, Scale::Medium, 42);
         let _ = std::fs::remove_file(&path);
     }
 
     #[test]
-    fn torn_final_line_is_skipped() {
-        let path = temp_path("torn");
+    fn file_that_is_not_a_checkpoint_is_refused_untouched() {
+        let path = temp_path("foreign");
+        let unstamped = header(Scale::Small, 42).replace("model", "m") + "\n";
+        for content in [
+            "# my notes\nimportant line\n".as_bytes(),
+            b"important line without a newline",
+            b"\n",
+            b"\xff\xfe not utf-8\n",
+            unstamped.as_bytes(),
+        ] {
+            std::fs::write(&path, content).expect("write");
+            assert_refused(&path, Scale::Small, 42);
+        }
         let _ = std::fs::remove_file(&path);
-        let mut rng = SplitMix64::new(9);
-        let result = synthetic_result(&mut rng);
+    }
+
+    #[test]
+    fn header_of_another_model_is_reset_and_its_cells_rerun() {
+        let path = temp_path("model");
+        let _ = std::fs::remove_file(&path);
         let key = (
-            BenchmarkId::Atx,
+            BenchmarkId::Mvt,
             SchedulerKind::Fcfs,
             ConfigVariant::Baseline,
         );
+        let result = golden_results().remove(0);
         {
-            let (mut cp, _) = SweepCheckpoint::open(&path, Scale::Small, 1).expect("create");
+            let (mut cp, _) = SweepCheckpoint::open(&path, Scale::Small, 42).expect("create");
             cp.append(key, &result).expect("append");
         }
-        // Simulate a crash mid-write: a truncated record line.
-        let mut content = std::fs::read_to_string(&path).expect("read");
-        content.push_str("{\"key\":\"KMN|FCFS|base");
-        std::fs::write(&path, content).expect("write");
-        let (_cp, loaded) = SweepCheckpoint::open(&path, Scale::Small, 1).expect("reopen");
-        assert_eq!(loaded.len(), 1, "intact record kept, torn record dropped");
-        assert_eq!(loaded[0].0, key);
+        let content = std::fs::read_to_string(&path).expect("read");
+        let current = header(Scale::Small, 42);
+        let stale = current.replace(&MODEL.to_string(), &(MODEL ^ 1).to_string());
+        std::fs::write(&path, content.replacen(&current, &stale, 1)).expect("write");
+        let (mut cp, loaded) = SweepCheckpoint::open(&path, Scale::Small, 42).expect("reset");
+        assert!(loaded.is_empty(), "records of another model are not loaded");
+        let content = std::fs::read_to_string(&path).expect("read");
+        assert_eq!(content, current + "\n", "reset to a fresh header");
+        cp.append(key, &result).expect("append after reset");
+        drop(cp);
+        let (_cp, loaded) = SweepCheckpoint::open(&path, Scale::Small, 42).expect("reload");
+        assert_eq!(loaded, vec![(key, result)]);
         let _ = std::fs::remove_file(&path);
     }
 
@@ -318,7 +332,6 @@ mod tests {
     fn record_appended_after_a_torn_tail_survives() {
         let path = temp_path("torn-append");
         let _ = std::fs::remove_file(&path);
-        let mut rng = SplitMix64::new(13);
         let a = (
             BenchmarkId::Atx,
             SchedulerKind::Fcfs,
@@ -329,17 +342,19 @@ mod tests {
             SchedulerKind::SimtAware,
             ConfigVariant::BigTlb,
         );
-        let (ra, rb) = (synthetic_result(&mut rng), synthetic_result(&mut rng));
+        let results = golden_results();
+        let (ra, rb) = (results[2].clone(), results[14].clone());
         {
             let (mut cp, _) = SweepCheckpoint::open(&path, Scale::Small, 1).expect("create");
             cp.append(a, &ra).expect("append A");
         }
-        let mut content = std::fs::read_to_string(&path).expect("read");
-        content.push_str("{\"key\":\"KMN|FCFS|base");
+        // A garbled line that is not even UTF-8, then a torn tail.
+        let mut content = std::fs::read(&path).expect("read");
+        content.extend_from_slice(b"\xff\xfe garbled\n{\"key\":\"KMN|FCFS|base");
         std::fs::write(&path, content).expect("tear the tail");
         {
             let (mut cp, loaded) = SweepCheckpoint::open(&path, Scale::Small, 1).expect("reopen");
-            assert_eq!(loaded.len(), 1);
+            assert_eq!(loaded, vec![(a, ra.clone())], "only whole records load");
             cp.append(b, &rb).expect("append B");
         }
         let (_cp, loaded) = SweepCheckpoint::open(&path, Scale::Small, 1).expect("reload");
@@ -351,7 +366,6 @@ mod tests {
     fn record_bound_to_another_spec_is_not_loaded() {
         let path = temp_path("spec-bound");
         let _ = std::fs::remove_file(&path);
-        let mut rng = SplitMix64::new(15);
         let keys = [
             (
                 BenchmarkId::Mvt,
@@ -369,7 +383,7 @@ mod tests {
                 ConfigVariant::NoPinning,
             ),
         ];
-        let results: Vec<RunResult> = keys.iter().map(|_| synthetic_result(&mut rng)).collect();
+        let results = golden_results()[5..8].to_vec();
         {
             let (mut cp, _) = SweepCheckpoint::open(&path, Scale::Small, 3).expect("create");
             for (&key, result) in keys.iter().zip(&results) {
@@ -403,8 +417,7 @@ mod tests {
         // not mis-decoded record by record.
         let path = temp_path("v1-header");
         let _ = std::fs::remove_file(&path);
-        let mut rng = SplitMix64::new(11);
-        let result = synthetic_result(&mut rng);
+        let result = golden_results().remove(14);
         let key = (
             BenchmarkId::Kmn,
             SchedulerKind::SimtAware,
@@ -431,8 +444,8 @@ mod tests {
         assert_eq!(loaded[0].1, result);
         let content = std::fs::read_to_string(&path).expect("read");
         assert!(
-            content.starts_with("{\"v\":4,"),
-            "header rewritten to the current version: {content:?}"
+            content.starts_with(&header(Scale::Small, 5)),
+            "header rewritten to the current model: {content:?}"
         );
 
         // A v3 file (flat `cycles`, `io_*`, `mem_*` keys, no spec digest)
@@ -463,24 +476,8 @@ mod tests {
         let (_cp, loaded) = SweepCheckpoint::open(&path, Scale::Small, 12_648_430).expect("v3");
         assert!(loaded.is_empty(), "v3 contents discarded, not decoded");
         let content = std::fs::read_to_string(&path).expect("read");
-        assert_eq!(content, "{\"v\":4,\"scale\":\"small\",\"seed\":12648430}\n");
+        assert_eq!(content, header(Scale::Small, 12_648_430) + "\n");
         let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn strings_with_escapes_round_trip() {
-        let message = "walk stalled\n\tpending=3 \"deadlock\" a\\b µ\u{1}";
-        let line = format!(
-            "{{\"err\":\"{}\",\"events\":7}}",
-            crate::json::escape(message)
-        );
-        let fields = parse_flat_json(&line).expect("parse");
-        assert_eq!(
-            fields.get("err").and_then(Value::as_str),
-            Some(message),
-            "escaped string round-trips through the checkpoint parser"
-        );
-        assert_eq!(fields.get("events").and_then(Value::as_u64), Some(7));
     }
 
     #[test]
@@ -505,7 +502,7 @@ mod tests {
             SchedulerKind::Fcfs,
             ConfigVariant::Baseline,
         );
-        let line = encode_record(key, 1, &synthetic_result(&mut SplitMix64::new(3)));
+        let line = encode_record(key, 1, &golden_results().remove(3));
         assert!(decode_record(&line).is_some());
         let open = line.strip_suffix('}').expect("an object");
         for extra in [
@@ -518,7 +515,7 @@ mod tests {
 
     #[test]
     fn extreme_bit_patterns_round_trip() {
-        let mut result = synthetic_result(&mut SplitMix64::new(5));
+        let mut result = golden_results().remove(6);
         result.metrics.interleaved_fraction = f64::NAN;
         result.metrics.mean_first_latency = -0.0;
         result.metrics.mean_last_latency = f64::from_bits(1);

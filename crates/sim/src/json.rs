@@ -287,7 +287,7 @@ mod tests {
 
     #[test]
     fn escape_emits_valid_literals() {
-        let s = "line\nquote\" back\\slash\ttab";
+        let s = "line\nquote\" back\\slash\ttab µ\u{1}";
         let quoted = format!("\"{}\"", escape(s));
         assert_eq!(
             Value::parse(&quoted).and_then(|v| match v {

@@ -260,15 +260,13 @@ impl Lab {
     /// Attaches a crash-safe checkpoint file: previously persisted results
     /// for this `(scale, seed)` are loaded into the cache (so they are not
     /// re-run) and every future completed run is appended. Returns how many
-    /// results were resumed from the file.
+    /// results were resumed from the file; a file
+    /// [`SweepCheckpoint::open`] refuses is an error.
     pub fn attach_checkpoint(&mut self, path: impl Into<PathBuf>) -> io::Result<usize> {
         let (cp, loaded) = SweepCheckpoint::open(path, self.scale, self.seed)?;
         let n = loaded.len();
         for (key, result) in loaded {
             self.cache.entry(key).or_insert(result);
-        }
-        if self.verbose && n > 0 {
-            eprintln!("[lab] resumed {n} run(s) from {}", cp.path().display());
         }
         self.checkpoint = Some(cp);
         Ok(n)

@@ -158,17 +158,6 @@ mod tests {
     }
 
     #[test]
-    fn ok_response_is_bit_identical() {
-        let spec = RunSpec::new(BenchmarkId::Kmn, SchedulerKind::Fcfs, Scale::Small);
-        let result = crate::runner::run_benchmark(&spec).expect("clean run");
-        let line = encode_response(&Ok(result.clone()));
-        match decode_response(&line).expect("decode") {
-            Ok(back) => assert_eq!(back, result, "RunResult transported bit-identically"),
-            Err(e) => panic!("expected Ok, got {e}"),
-        }
-    }
-
-    #[test]
     fn error_responses_classify() {
         let budget = RunError::Sim(SimError::EventBudgetExhausted {
             events: 1000,

@@ -73,7 +73,7 @@ if ./target/release/figures fig2 --scale small --quiet --isolation process \
   exit 1
 fi
 
-echo "== resume smoke (a process-isolated sweep's checkpoint resumes every cell in thread mode)"
+echo "== resume smoke (a process-isolated sweep's checkpoint resumes every cell in thread mode; a foreign file is refused)"
 # The first run's workers send results over the wire codec and the
 # supervisor appends them with the checkpoint codec; the second run must
 # load every cell back, re-run none, and print the same rows.
@@ -94,13 +94,27 @@ cmp -s "$resume_first" "$resume_second" || {
   echo "FAIL: the resumed sweep re-ran cells ($lines_before checkpoint lines before, $(wc -l <"$resume_file") after)"
   exit 1
 }
+# A file that is not a checkpoint is refused and left byte-identical.
+foreign_file="$(mktemp)"
+foreign_copy="$(mktemp)"
+trap 'rm -f "$smoke_out" "$proc_out" "$resume_file" "$resume_first" "$resume_second" "$foreign_file" "$foreign_copy"' EXIT
+printf '# my notes\nimportant line\n' >"$foreign_file"
+cp "$foreign_file" "$foreign_copy"
+if ./target/release/figures fig2 --scale small --quiet --resume "$foreign_file" >/dev/null 2>&1; then
+  echo "FAIL: --resume accepted a file that is not a checkpoint"
+  exit 1
+fi
+cmp "$foreign_copy" "$foreign_file" || {
+  echo "FAIL: --resume changed a file that is not a checkpoint"
+  exit 1
+}
 
 echo "== figures golden (the full small sweep prints the pinned tables)"
 # tests/golden/figures_small.txt is `figures all --scale small --quiet`;
 # it changes only under the ROADMAP re-bless rule. Thread and process
 # isolation must both print it byte for byte.
 figures_out="$(mktemp)"
-trap 'rm -f "$smoke_out" "$proc_out" "$resume_file" "$resume_first" "$resume_second" "$figures_out"' EXIT
+trap 'rm -f "$smoke_out" "$proc_out" "$resume_file" "$resume_first" "$resume_second" "$foreign_file" "$foreign_copy" "$figures_out"' EXIT
 ./target/release/figures all --scale small --quiet --jobs 2 >"$figures_out"
 cmp tests/golden/figures_small.txt "$figures_out" || {
   echo "FAIL: figures output (--jobs 2) differs from tests/golden/figures_small.txt"

@@ -1,11 +1,12 @@
 #!/usr/bin/env bash
-# Counts the Rust lines under crates/.
+# Counts the Rust lines under crates/ and tests/.
 #
 #   scripts/loc.sh [DIR]      # DIR defaults to the repository root
 #
-# Prints two numbers: every line of every `.rs` file under DIR/crates,
-# and the lines outside `#[cfg(test)]` items (test modules and test-only
-# functions). An item starts at its `#[cfg(test)]` attribute and ends at
+# Prints three numbers: every line of every `.rs` file under DIR/crates,
+# the lines of those outside `#[cfg(test)]` items (test modules and
+# test-only functions), and every line of every `.rs` file under
+# DIR/tests (the integration tests and their goldens' encoders). An item starts at its `#[cfg(test)]` attribute and ends at
 # the `;` or the closing brace that brings its nesting back to zero;
 # braces inside string and char literals and `//` comments are ignored.
 set -euo pipefail
@@ -13,6 +14,7 @@ set -euo pipefail
 root="${1:-$(cd "$(dirname "$0")/.." && pwd)}"
 mapfile -t files < <(find "$root/crates" -name '*.rs' -type f | sort)
 [ "${#files[@]}" -gt 0 ] || { echo "no .rs files under $root/crates" >&2; exit 1; }
+mapfile -t tests < <(find "$root/tests" -name '*.rs' -type f | sort)
 
 awk '
 FNR == 1 { skipping = 0 }
@@ -41,3 +43,4 @@ END {
     printf "outside #[cfg(test)] items:   %d\n", prod
 }
 ' "${files[@]}"
+printf "all .rs lines under tests/:   %d\n" "$(cat "${tests[@]}" /dev/null | wc -l)"

@@ -2,24 +2,31 @@
 //!
 //! The PR-1 golden trace (`policy_equivalence.rs`) pins the *scheduler's
 //! selection order* in isolation. This test pins the *whole simulated
-//! system*: every field of `RunResult` but one — cycles, stalls,
-//! latencies, histograms, TLB/cache hit rates, per-IOMMU walks and
-//! imbalance, large-page counters, DRAM counters and occupancy integrals —
-//! for two contrasting benchmarks under all seven scheduling policies.
-//! Any hot-path rework of the event queue, IOMMU buffer, or inflight
-//! tracking must reproduce these numbers bit-for-bit; only then is it a
-//! pure data-structure change.
+//! system*: every field of `RunResult` but one, for two contrasting
+//! benchmarks under all seven scheduling policies, plus XSB under FCFS and
+//! SIMT-aware on a sharded topology with 2 MiB pages. Any hot-path rework
+//! must reproduce these numbers bit-for-bit; only then is it a pure
+//! data-structure change.
 //!
-//! The one field deliberately *not* pinned is `RunResult::events`: the
-//! number of queue pops is simulation cost, not simulated behavior, and
-//! replacing polled `MemTick` events with next-completion-time scheduling
-//! legitimately removes superseded ticks without touching any simulated
-//! outcome. Scheduling one walk's same-cycle starts or completions as
-//! one batch event or as one event each moves the count the same way.
+//! # Line format
 //!
-//! Floats are recorded via `f64::to_bits` so "equal" means bit-identical,
-//! not approximately close. Fields added to the pin later are appended to
-//! each line, so an older line stays a prefix of its newer one.
+//! Each line of `golden/run_metrics.txt` is one cell: its name
+//! (`MVT/FCFS`, `XSB/SIMT-aware/sharded-2m`), one space, then
+//! `wire::encode_response(&Ok(r))` for the cell's result `r`: the
+//! flat-line encoding the worker wire and the sweep checkpoint use. So
+//! `RunResult`'s fields are listed once, in the library's schema, and a new
+//! field shows up as one more member of every line. `f64`s are stored as
+//! their bit patterns, so "equal" means bit-identical.
+//!
+//! The one field deliberately *not* pinned is `RunResult::events`, which
+//! every line records as 0: the number of queue pops is simulation cost,
+//! not simulated behavior. Replacing polled events with scheduled ones, or
+//! batching same-cycle ones, moves it without touching any outcome.
+//!
+//! The sweep checkpoint's header carries a digest of this file, so a
+//! re-bless also resets every checkpoint written before it. The digest
+//! covers only the cells pinned here: a model change has to move a value
+//! in this file to reach old checkpoints.
 //!
 //! To re-bless after an *intentional* behavior change:
 //!
@@ -27,11 +34,10 @@
 //! PTW_BLESS=1 cargo test --test run_metrics_equivalence
 //! ```
 
-use std::fmt::Write as _;
-
 use ptw_core::sched::SchedulerKind;
+use ptw_sim::json::Value;
 use ptw_sim::runner::{run_benchmark, RunSpec};
-use ptw_sim::RunResult;
+use ptw_sim::wire;
 use ptw_workloads::{BenchmarkId, Scale};
 
 const GOLDEN: &str = include_str!("golden/run_metrics.txt");
@@ -41,134 +47,117 @@ const GOLDEN: &str = include_str!("golden/run_metrics.txt");
 /// both the contended and the uncontended IOMMU paths are covered.
 const BENCHES: [BenchmarkId; 2] = [BenchmarkId::Mvt, BenchmarkId::Xsb];
 
-fn bits(x: f64) -> String {
-    format!("{:016x}", x.to_bits())
-}
-
-/// Serializes every field of `RunResult` except `events` as stable
-/// `key=value` pairs.
-fn encode(r: &RunResult) -> String {
-    let m = &r.metrics;
-    let mut s = String::new();
-    let kv_u = |s: &mut String, k: &str, v: u64| {
-        let _ = write!(s, " {k}={v}");
-    };
-    let kv_f = |s: &mut String, k: &str, v: f64| {
-        let _ = write!(s, " {k}={}", bits(v));
-    };
-    kv_u(&mut s, "cycles", m.cycles);
-    kv_u(&mut s, "instructions", m.instructions);
-    kv_u(&mut s, "cu_stall_cycles", m.cu_stall_cycles);
-    kv_u(&mut s, "walk_requests", m.walk_requests);
-    kv_u(&mut s, "walks_performed", m.walks_performed);
-    let counts: Vec<String> = m.work_hist.counts().iter().map(|c| c.to_string()).collect();
-    let _ = write!(
-        s,
-        " work_hist={}+{}/{}",
-        counts.join(","),
-        m.work_hist.overflow(),
-        m.work_hist.total()
-    );
-    kv_f(&mut s, "interleaved_fraction", m.interleaved_fraction);
-    kv_f(&mut s, "mean_first_latency", m.mean_first_latency);
-    kv_f(&mut s, "mean_last_latency", m.mean_last_latency);
-    kv_f(&mut s, "mean_latency_gap", m.mean_latency_gap);
-    kv_f(&mut s, "mean_epoch_wavefronts", m.mean_epoch_wavefronts);
-    kv_u(&mut s, "l2_tlb_accesses", m.l2_tlb_accesses);
-    kv_u(&mut s, "instructions_with_walks", m.instructions_with_walks);
-    kv_u(&mut s, "multi_walk_instructions", m.multi_walk_instructions);
-    kv_u(&mut s, "iommu.walk_requests", r.iommu.walk_requests);
-    kv_u(&mut s, "iommu.walks_performed", r.iommu.walks_performed);
-    kv_u(
-        &mut s,
-        "iommu.merged_completions",
-        r.iommu.merged_completions,
-    );
-    kv_u(
-        &mut s,
-        "iommu.total_walk_accesses",
-        r.iommu.total_walk_accesses,
-    );
-    kv_u(&mut s, "iommu.peak_pending", r.iommu.peak_pending as u64);
-    kv_u(
-        &mut s,
-        "iommu.total_walk_latency",
-        r.iommu.total_walk_latency,
-    );
-    kv_u(
-        &mut s,
-        "iommu.completed_requests",
-        r.iommu.completed_requests,
-    );
-    kv_u(&mut s, "mem.data_requests", r.mem.data_requests);
-    kv_u(&mut s, "mem.walk_requests", r.mem.walk_requests);
-    kv_u(&mut s, "mem.row_hits", r.mem.row_hits);
-    kv_u(&mut s, "mem.row_conflicts", r.mem.row_conflicts);
-    kv_u(&mut s, "mem.total_latency", r.mem.total_latency);
-    kv_u(&mut s, "mem.completed", r.mem.completed);
-    kv_f(&mut s, "gpu_l1_tlb_hit_rate", r.gpu_l1_tlb_hit_rate);
-    kv_f(&mut s, "gpu_l2_tlb_hit_rate", r.gpu_l2_tlb_hit_rate);
-    kv_f(&mut s, "l1_cache_hit_rate", r.l1_cache_hit_rate);
-    kv_f(&mut s, "l2_cache_hit_rate", r.l2_cache_hit_rate);
-    kv_f(&mut s, "finish_spread", r.finish_spread);
-    let walks: Vec<String> = r.per_iommu_walks.iter().map(u64::to_string).collect();
-    let _ = write!(s, " per_iommu_walks={}", walks.join(","));
-    kv_f(&mut s, "iommu_imbalance", r.iommu_imbalance);
-    kv_u(&mut s, "gpu_tlb_large_hits", r.gpu_tlb_large_hits);
-    kv_u(
-        &mut s,
-        "iommu.large_walks_performed",
-        r.iommu.large_walks_performed,
-    );
-    kv_u(
-        &mut s,
-        "iommu.large_completed_requests",
-        r.iommu.large_completed_requests,
-    );
-    kv_u(
-        &mut s,
-        "iommu.large_total_walk_latency",
-        r.iommu.large_total_walk_latency,
-    );
-    kv_u(&mut s, "mem.peak_queue_depth", r.mem.peak_queue_depth);
-    kv_u(&mut s, "mem.peak_busy_banks", r.mem.peak_busy_banks);
-    kv_u(&mut s, "mem.queue_depth_cycles", r.mem.queue_depth_cycles);
-    kv_u(&mut s, "mem.busy_bank_cycles", r.mem.busy_bank_cycles);
-    kv_u(&mut s, "mem.observed_cycles", r.mem.observed_cycles);
-    s
-}
-
-fn full_trace() -> String {
-    let mut out = String::new();
+/// The pinned cells in golden order, each with its name: every policy on
+/// each of [`BENCHES`], then XSB under FCFS and SIMT-aware on
+/// `sharded-2m`'s first layout (2 GPU shards, 2 IOMMUs, 125‰ 2 MiB pages;
+/// see `tests/work_counts.rs`), which pins the per-IOMMU walks, the
+/// imbalance and the large-page counters.
+fn cells() -> Vec<(String, RunSpec)> {
+    let mut cells = Vec::new();
     for bench in BENCHES {
         for sched in SchedulerKind::EXTENDED {
             let spec = RunSpec::new(bench, sched, Scale::Small);
-            let result = run_benchmark(&spec).expect("pinned run must succeed");
-            writeln!(out, "{bench}/{}:{}", sched.label(), encode(&result)).expect("string write");
+            cells.push((format!("{bench}/{}", sched.label()), spec));
         }
     }
-    out
+    for sched in [SchedulerKind::Fcfs, SchedulerKind::SimtAware] {
+        let mut spec = RunSpec::new(BenchmarkId::Xsb, sched, Scale::Small);
+        spec.config = spec
+            .config
+            .with_topology(2, 2)
+            .with_large_page_permille(125);
+        cells.push((format!("XSB/{}/sharded-2m", sched.label()), spec));
+    }
+    cells
+}
+
+/// Runs `spec` and renders its golden line under `name`.
+fn line(name: &str, spec: &RunSpec) -> String {
+    let mut result = run_benchmark(spec).expect("pinned run must succeed");
+    result.events = 0;
+    format!("{name} {}", wire::encode_response(&Ok(result)))
+}
+
+/// A golden line's cell name and its flat JSON.
+fn split(line: &str) -> (&str, &str) {
+    line.split_once(' ').unwrap_or((line, ""))
+}
+
+/// Names what differs between two lines of one cell: each changed member
+/// as `path: golden → got` (the first 10), then each member only one side
+/// has.
+fn describe_diff(golden: &str, got: &str) -> String {
+    let members = |line: &str| match Value::parse(split(line).1) {
+        Some(Value::Obj(members)) => members,
+        _ => Vec::new(),
+    };
+    let (want, have) = (members(golden), members(got));
+    fn find<'a>(side: &'a [(String, Value)], key: &str) -> Option<&'a Value> {
+        side.iter().find(|(k, _)| k == key).map(|(_, v)| v)
+    }
+    let show = |v: &Value| match v {
+        Value::U64(x) => x.to_string(),
+        Value::Arr(xs) => format!(
+            "{:?}",
+            xs.iter().filter_map(Value::as_u64).collect::<Vec<_>>()
+        ),
+        other => format!("{other:?}"),
+    };
+    let mut out = Vec::new();
+    let changed = want.iter().filter_map(|(k, w)| {
+        let h = find(&have, k)?;
+        (h != w).then(|| format!("  {k}: {} → {}", show(w), show(h)))
+    });
+    out.extend(changed.take(10));
+    for (side, this, other) in [("the golden", &want, &have), ("this run", &have, &want)] {
+        let alone = this.iter().filter(|(k, _)| find(other, k).is_none());
+        out.extend(alone.map(|(k, _)| format!("  {k}: only in {side}")));
+    }
+    if out.is_empty() {
+        out.push(format!("  golden: {golden}\n  got:    {got}"));
+    }
+    out.join("\n")
 }
 
 #[test]
 fn full_run_metrics_match_golden() {
-    let got = full_trace();
+    let got: Vec<String> = cells()
+        .iter()
+        .map(|(name, spec)| line(name, spec))
+        .collect();
     if std::env::var_os("PTW_BLESS").is_some() {
         let path =
             std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/run_metrics.txt");
-        std::fs::write(&path, &got).expect("write golden");
+        std::fs::write(&path, got.join("\n") + "\n").expect("write golden");
         eprintln!("blessed {}", path.display());
         return;
     }
-    for (g, e) in got.lines().zip(GOLDEN.lines()) {
-        let name = g.split(':').next().unwrap_or("?");
-        assert_eq!(g, e, "run {name} diverged from the golden metrics");
-    }
-    assert_eq!(
-        got.lines().count(),
-        GOLDEN.lines().count(),
-        "run count changed; re-bless deliberately if intended"
+    let golden: Vec<&str> = GOLDEN.lines().collect();
+    let want: Vec<&str> = golden.iter().map(|l| split(l).0).collect();
+    let have: Vec<&str> = got.iter().map(|l| split(l).0).collect();
+    let missing = |from: &[&str], of: &[&str]| -> Vec<String> {
+        of.iter()
+            .filter(|n| !from.contains(n))
+            .map(|n| n.to_string())
+            .collect()
+    };
+    assert!(
+        have == want,
+        "{} cells against {} golden lines; no run for {:?}; no golden line for {:?}; \
+         re-bless deliberately if intended",
+        have.len(),
+        want.len(),
+        missing(&have, &want),
+        missing(&want, &have)
     );
+    for (g, e) in got.iter().zip(&golden) {
+        assert!(
+            g == e,
+            "run {} diverged from the golden metrics:\n{}",
+            split(g).0,
+            describe_diff(e, g)
+        );
+    }
 }
 
 /// An *explicit* 1×1 all-4K topology is the same machine as the implicit
@@ -184,8 +173,7 @@ fn explicit_default_topology_matches_golden() {
     ] {
         let mut spec = RunSpec::new(bench, sched, Scale::Small);
         spec.config = spec.config.with_topology(1, 1).with_large_page_permille(0);
-        let result = run_benchmark(&spec).expect("pinned run must succeed");
-        let line = format!("{bench}/{}:{}", sched.label(), encode(&result));
+        let line = line(&format!("{bench}/{}", sched.label()), &spec);
         assert!(
             GOLDEN.lines().any(|l| l == line),
             "explicit 1x1 all-4K topology diverged from golden for {bench}/{}",
@@ -194,16 +182,23 @@ fn explicit_default_topology_matches_golden() {
     }
 }
 
-/// The golden file covers every policy for every pinned benchmark.
+/// The golden file covers every cell, and each line reads back through the
+/// wire decoder as a result that re-encodes to the same line.
 #[test]
 fn golden_covers_every_cell() {
-    for bench in BENCHES {
-        for sched in SchedulerKind::EXTENDED {
-            let prefix = format!("{bench}/{}:", sched.label());
-            assert!(
-                GOLDEN.lines().any(|l| l.starts_with(&prefix)),
-                "no golden metrics for {prefix}"
-            );
-        }
+    for (name, _) in cells() {
+        let prefix = format!("{name} ");
+        assert!(
+            GOLDEN.lines().any(|l| l.starts_with(&prefix)),
+            "no golden metrics for {name}"
+        );
+    }
+    for golden in GOLDEN.lines() {
+        let (name, json) = split(golden);
+        let Some(Ok(result)) = wire::decode_response(json) else {
+            panic!("golden line {name} does not decode as a result");
+        };
+        assert_eq!(result.events, 0, "{name} pins events");
+        assert_eq!(wire::encode_response(&Ok(result)), json, "{name}");
     }
 }
